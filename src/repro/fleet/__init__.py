@@ -18,8 +18,10 @@ fleet-wide:
   crashes and drains into failovers/handoffs, aggregates fleet metrics.
 * :mod:`~repro.fleet.autoscale` — debounced queue-depth control loop
   growing and shrinking the fleet through the lossless resize paths.
-* :mod:`~repro.fleet.bench` — ``repro fleet-bench``: gates routing
-  determinism, failover parity, ring churn, and throughput scaling.
+
+Routing determinism, failover parity, ring churn, capacity-model load
+spreading and lossless autoscaling are pinned by ``tests/test_fleet_*.py``;
+the ``fleet-rf`` workload of ``perfbench/`` times the subprocess fleet.
 """
 
 from repro.fleet.autoscale import AutoscaleConfig, AutoscaleDecision, Autoscaler

@@ -11,7 +11,7 @@ source is the store), push them through a fresh session on the new
 owner, re-predict every due window, and re-emit only the predictions the
 dead worker never got out.
 
-The parity claim (gated by ``repro fleet-bench``): the union of
+The parity claim (pinned by ``tests/test_fleet_router.py``): the union of
 emissions before the crash and after recovery is bit-identical, per job,
 to an unfailed twin — same ``sample_index``, ``label``,
 ``smoothed_label``, and ``confidence`` for every window.

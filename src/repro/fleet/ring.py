@@ -128,8 +128,8 @@ class HashRing:
         """Fraction of keys whose owner differs between two assignments.
 
         Both arguments are ``{key: worker_id}`` maps over the *same* key
-        set (as produced by :meth:`owners`); the resize gates in
-        ``repro fleet-bench`` bound this against the ~``1/n`` ideal.
+        set (as produced by :meth:`owners`); ``tests/test_fleet_ring.py``
+        bounds this against the ~``1/n`` ideal.
         """
         if set(before) != set(after):
             raise ValueError("churn() needs assignments over the same keys")

@@ -177,8 +177,8 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         return X
 
     def _margins_slow(self, X: np.ndarray, n_rounds: int | None = None) -> np.ndarray:
-        """Legacy per-tree margin loop (reference for the perf-bench
-        bit-identity gate)."""
+        """Legacy per-tree margin loop (reference for the bit-identity
+        tests in ``tests/test_perf_fastpaths.py``)."""
         X = self._check_predict_input(X)
         k = self.classes_.size
         rounds = self.trees_ if n_rounds is None else self.trees_[:n_rounds]

@@ -19,8 +19,7 @@ per-tree ``searchsorted`` remap at predict time disappears), regression
 (boosting) trees store their scalar leaf weight.  Accumulation across
 trees is left to the caller, which adds per-tree contributions in the
 same order as the legacy loop — keeping ensemble predictions bit-identical
-to the per-tree path (pinned by the parity suite and the
-``repro perf-bench`` gate).
+to the per-tree path (pinned by ``tests/test_perf_fastpaths.py``).
 
 ``leaf_indices`` optionally fans the traversal out over trees with
 :func:`repro.parallel.parallel_map`.  Workers return integer leaf indices

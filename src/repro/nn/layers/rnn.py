@@ -15,8 +15,8 @@ node layout:
   directions are stacked into one ``(2N, ·)`` row block so each elementwise
   ufunc dispatches once instead of twice.  Elementwise ops round per
   element, so stacking rows changes nothing; matmuls stay per-direction.
-  Gradients are **bit-identical** to the slow reference, pinned by the
-  parity suite and the ``repro train-bench`` gate.
+  Gradients are **bit-identical** to the slow reference, pinned by
+  ``tests/test_fused_backward.py``.
 
 Under :class:`~repro.nn.tensor.no_grad` the forward takes an inference
 fast path instead: no ``(T, N, 4H)`` gate/cell caches, no backward closure,

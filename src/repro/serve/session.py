@@ -5,9 +5,9 @@ window to the model call — fine for one stream, wasteful for thousands,
 where per-call ``predict`` overhead dominates.  :class:`StreamSession`
 keeps the exact window/hop/vote semantics but *splits the cycle in two*:
 
-1. ``push(samples)`` buffers telemetry (O(1) per sample on a deque) and
-   returns :class:`WindowRequest` snapshots whenever a classification is
-   due — the same cadence the online classifier emits at.
+1. ``push(samples)`` buffers telemetry and returns :class:`WindowRequest`
+   snapshots whenever a classification is due — the same cadence the
+   online classifier emits at.
 2. ``complete(request, label)`` applies the label produced elsewhere
    (by the micro-batcher, which coalesced it with other sessions'
    windows) to the session's majority vote and returns the

@@ -16,8 +16,10 @@ layers (each its own module):
 On top: :mod:`repro.store.compact` (time-bucketed downsampling with
 retention, preserving full-trace moments), :mod:`repro.store.replay`
 (deterministic re-drive of serve/monitor scenarios at a configurable
-rate), and :mod:`repro.store.bench` (the gated ``repro store-bench``
-suite).
+rate).  Replay determinism, SIGKILL recovery at every ``store.*`` fault
+point and compaction moments are pinned by ``tests/test_store_replay.py``,
+``tests/test_store_crash.py`` and ``tests/test_store.py``; ingest, open
+and read timings come from ``perfbench/``.
 """
 
 from repro.store.compact import CompactionReport, bucket_means, compact_store

@@ -11,10 +11,10 @@ request's trace).  Completed :class:`Span` s land in a bounded
 recovery rule), and :class:`TraceQuery` reconstructs per-request span
 trees, critical paths, and per-stage p50/p95 self-time profiles.
 
-``repro trace-bench`` (:mod:`repro.trace.bench`) gates the subsystem:
-traced and untraced fleets must emit identically (under failover too),
-every completed request's trace must form one connected tree, and
-sampled tracing must cost <5% on the serve hot path.
+``tests/test_trace.py`` and ``tests/test_fleet_crash.py`` pin the
+subsystem: traced and untraced fleets must emit identically (under
+failover too), every completed request's trace must form one connected
+tree, and the span WAL must survive a crash mid-flush.
 """
 
 from repro.trace.query import TraceQuery

@@ -18,8 +18,9 @@ Two time bases coexist on purpose:
   emission latencies on the *replay* timeline.
 * ``wall_s`` is real ``time.perf_counter`` compute time spent inside the
   stage.  On a simulated clock every stage of a tick shares one
-  timestamp, so per-stage *profiling* (the p50/p95 self-times reported
-  by ``repro trace-bench``) must come from wall time.
+  timestamp, so per-stage *profiling* (the p50/p95 self-times of
+  :meth:`~repro.trace.query.TraceQuery.stage_summary`) must come from
+  wall time.
 
 Tracing is sampled at the root, deterministically (a CRC32 of the
 sampling key against the tracer's ``sample`` fraction) — and the *key*
@@ -70,8 +71,7 @@ class Span:
     off the hot path.  Spans are emitted complete and never mutated; the
     class stays unfrozen because frozen-dataclass construction routes
     every field through ``object.__setattr__`` (~7× the cost), and span
-    construction is the single largest term in the tracing overhead the
-    bench gates at <5%.
+    construction is the single largest term in the tracing overhead.
     """
 
     trace_id: str

@@ -20,14 +20,7 @@ from repro.serve import (
     SimulatedClock,
     SubmitResult,
 )
-
-
-class _MeanModel:
-    """Row-independent stub: label = (mean of sensor 0 > 50)."""
-
-    def predict(self, X):
-        X = np.asarray(X)
-        return (X[:, :, 0].mean(axis=1) > 50.0).astype(np.int64)
+from tests.stubs import ThresholdModel
 
 
 def _series(n_rows, seed=0, n_series=6):
@@ -46,7 +39,7 @@ def _fleet(n_workers, clock, *, history=None, capacity=None, health=None,
            config=None):
     config = config or _config()
     workers = [
-        FleetWorker(f"w{i}", _MeanModel(), config, clock=clock,
+        FleetWorker(f"w{i}", ThresholdModel(), config, clock=clock,
                     capacity_per_step=capacity, heartbeat=health)
         for i in range(n_workers)
     ]
@@ -128,21 +121,49 @@ class TestFailover:
         assert victim not in router.worker_ids
         assert victim not in router.ring
 
-    def test_crash_via_fault_point_mid_step(self):
-        clean, _, _ = self._run(kill_tick=None)
+    @staticmethod
+    def _run_killed_mid_step():
+        # Workers step in sorted-id order, one crash-point hit each, so
+        # hit 3 * 3 + idx + 1 is the top of job 0's owner's step on tick 3:
+        # after that tick's chunks were routed to it, before it serves them.
         clock = SimulatedClock()
         gen = _gen(clock)
         router = _fleet(3, clock, history=gen.job_stream)
-        victim = router.owner_of(0)
-        idx = sorted(router.worker_ids).index(victim)
+        idx = sorted(router.worker_ids).index(router.owner_of(0))
         with inject(FaultSpec("fleet.worker.crash", at_hit=3 * 3 + idx + 1,
                               mode="raise")):
             report = gen.run(router)
+        return report, router
+
+    def test_crash_via_fault_point_mid_step(self):
+        clean, _, _ = self._run(kill_tick=None)
+        report, router = self._run_killed_mid_step()
         assert _trace(report.emissions) == _trace(clean.emissions)
+        # lost telemetry would void parity by definition
+        assert router.fleet_metrics().counter("ingress.shed").value == 0
         assert router.metrics.counter("fleet.failovers").value == 1
         # the mid-step crash lost routed-but-unserved chunks; replay
         # must have re-emitted at least one window for them
         assert router.metrics.counter("fleet.predictions.recovered").value >= 1
+
+    def test_killed_replay_is_deterministic(self):
+        # Two fresh replays that lose the same worker mid-step emit the
+        # same sequence (cross-job order included) and record the same
+        # failover timeline.
+        def replay():
+            report, router = self._run_killed_mid_step()
+            emissions = [
+                (e.job_id, e.prediction.sample_index, e.prediction.label,
+                 e.prediction.smoothed_label, e.prediction.confidence)
+                for e in report.emissions
+            ]
+            timeline = [(ev.at_s, ev.kind, ev.worker_id, ev.n_jobs,
+                         ev.n_recovered) for ev in router.events]
+            return emissions, timeline
+
+        first, second = replay(), replay()
+        assert first == second
+        assert [ev[1] for ev in first[1]] == ["failover"]
 
     def test_failover_without_history_restarts_cold(self):
         clock = SimulatedClock()
@@ -174,7 +195,7 @@ class TestMembership:
         def on_tick(tick, emissions):
             if tick == 4:
                 # "w3" verifiably claims jobs {1, 3} on this ring layout
-                worker = FleetWorker("w3", _MeanModel(), _config(),
+                worker = FleetWorker("w3", ThresholdModel(), _config(),
                                      clock=clock)
                 moved.extend(router.add_worker(worker))
 
@@ -216,7 +237,7 @@ class TestMembership:
         clock = SimulatedClock()
         router = _fleet(2, clock)
         with pytest.raises(ValueError, match="duplicate|already"):
-            router.add_worker(FleetWorker("w0", _MeanModel(), _config(),
+            router.add_worker(FleetWorker("w0", ThresholdModel(), _config(),
                                           clock=clock))
 
 
@@ -355,6 +376,74 @@ class TestAutoscaler:
         with pytest.raises(ValueError, match="low_queue_per_worker"):
             AutoscaleConfig(high_queue_per_worker=1.0,
                             low_queue_per_worker=2.0)
+
+
+class TestCapacityModel:
+    """Workers serve at most ``capacity_per_step`` chunks per tick of the
+    simulated clock, so these tests check how the control plane spreads
+    load over workers, not how fast the host runs them."""
+
+    def test_fixed_capacity_goodput_spreads_3x_over_four_workers(self):
+        def goodput(n_workers):
+            # windows emitted inside the replay horizon; the final
+            # unbounded drain does not count
+            clock = SimulatedClock()
+            gen = _gen(clock, n_jobs=24)
+            router = _fleet(n_workers, clock, history=gen.job_stream,
+                            capacity=4)
+            served = 0
+
+            def on_tick(tick, emissions):
+                nonlocal served
+                served += len(emissions)
+
+            gen.run(router, on_tick=on_tick)
+            return served
+
+        one, four = goodput(1), goodput(4)
+        assert one > 0
+        assert four >= 3 * one
+
+    def test_autoscaled_fleet_grows_shrinks_and_emits_every_window_once(self):
+        clock = SimulatedClock()
+        gen = _gen(clock, n_jobs=24)
+
+        def spawn(worker_id):
+            return FleetWorker(worker_id, ThresholdModel(), _config(),
+                               clock=clock, capacity_per_step=4)
+
+        router = FleetRouter([spawn("w0")], clock=clock,
+                             history=gen.job_stream)
+        scaler = Autoscaler(router, spawn, config=AutoscaleConfig(
+            min_workers=1, max_workers=4, high_queue_per_worker=8.0,
+            low_queue_per_worker=1.0, for_ticks=2, cooldown_ticks=3))
+        peak = 1
+
+        def on_tick(tick, emissions):
+            nonlocal peak
+            scaler.tick()
+            peak = max(peak, router.n_workers)
+
+        report = gen.run(router, end_sessions=False, on_tick=on_tick)
+        # run() drained the load; idle ticks must shrink the fleet back
+        for _ in range(40):
+            if router.n_workers == 1:
+                break
+            router.step()
+            scaler.tick()
+            clock.advance(gen.tick_s)
+
+        actions = [d.action for d in scaler.decisions]
+        assert "scale-up" in actions and "scale-down" in actions
+        assert peak <= 4
+        assert router.n_workers == 1
+        assert router.fleet_metrics().counter("ingress.shed").value == 0
+        # 900 rows / 90-row windows -> 10 emissions per job, exactly once
+        emitted = sorted((e.job_id, e.prediction.sample_index)
+                         for e in report.emissions)
+        expected = sorted((job, 90 * (k + 1))
+                          for job in range(gen.n_jobs) for k in range(10))
+        assert emitted == expected
 
 
 class TestMetricsMerge:

@@ -20,10 +20,10 @@ from repro.nn import BiLSTM, LSTM, Tensor
 from repro.nn.layers.conv import Conv1d, MaxPool1d
 from repro.nn.layers.rnn import _sigmoid
 from repro.nn.tensor import is_grad_enabled, no_grad
-from repro.perf.harness import BenchResult, measure, write_bench_json
 from repro.serve.batcher import MicroBatcher
 from repro.serve.session import StreamSession
 from repro.simcluster.sensors import N_GPU_SENSORS
+from tests.stubs import MeanSignModel
 
 
 # ----------------------------------------------------------------------
@@ -214,11 +214,6 @@ class TestFlatForest:
 # ----------------------------------------------------------------------
 # Zero-copy serving
 # ----------------------------------------------------------------------
-class _MeanSignModel:
-    def predict(self, X):
-        return (X.mean(axis=(1, 2)) > 0.0).astype(np.int64)
-
-
 class TestZeroCopyServing:
     def test_ring_windows_match_raw_stream(self):
         window, hop, total = 24, 6, 24 + 5 * 6
@@ -254,7 +249,7 @@ class TestZeroCopyServing:
             assert np.array_equal(req.window, expected)
 
     def test_batcher_scratch_is_reused_not_aliased(self):
-        model = _MeanSignModel()
+        model = MeanSignModel()
         batcher = MicroBatcher(model, max_batch=3, max_delay_s=10.0)
         rng = np.random.default_rng(3)
 
@@ -281,7 +276,7 @@ class TestZeroCopyServing:
         assert [c.label for c in done_b] == expect_b
 
     def test_scratch_rebuilds_on_geometry_change(self):
-        batcher = MicroBatcher(_MeanSignModel(), max_batch=2, max_delay_s=10.0)
+        batcher = MicroBatcher(MeanSignModel(), max_batch=2, max_delay_s=10.0)
         small = [np.ones((4, 3), dtype=np.float32)] * 2
         big = [np.ones((6, 3), dtype=np.float32)]
         assert batcher._assemble(small).shape == (2, 4, 3)
@@ -315,41 +310,3 @@ class TestParallelDatagen:
         jobs1, _ = ClusterSimulator(cfg).generate(n_jobs=1)
         jobs0, _ = ClusterSimulator(cfg).generate()
         assert all(a.record == b.record for a, b in zip(jobs0, jobs1))
-
-
-# ----------------------------------------------------------------------
-# perf harness
-# ----------------------------------------------------------------------
-class TestPerfHarness:
-    def test_measure_schema(self):
-        calls = []
-        result = measure(lambda: calls.append(1), bench="noop",
-                         n_samples=10, config={"k": 1},
-                         warmup=2, repeats=3)
-        assert len(calls) == 5
-        assert result.bench == "noop"
-        assert result.p50_s >= 0 and result.p95_s >= result.p50_s
-        assert result.samples_per_s > 0
-        d = result.to_dict()
-        assert set(d) == {"bench", "config", "samples_per_s",
-                          "p50_s", "p95_s", "rss_mb"}
-
-    def test_write_bench_json(self, tmp_path):
-        import json
-
-        path = write_bench_json(
-            tmp_path / "BENCH_x.json",
-            [BenchResult(bench="a", samples_per_s=1.0,
-                         p50_s=0.1, p95_s=0.2, rss_mb=0.0)],
-        )
-        data = json.loads(path.read_text())
-        assert data[0]["bench"] == "a"
-        assert data[0]["p95_s"] == 0.2
-
-    def test_cli_has_perf_bench(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["perf-bench", "--scale", "0.01", "--out-dir", "/tmp/x"])
-        assert args.command == "perf-bench"
-        assert args.scale == 0.01

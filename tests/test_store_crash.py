@@ -9,20 +9,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.resilience import FaultSpec, InjectedFault, inject
+from repro.resilience import FaultInjector, FaultSpec, InjectedFault, inject, install
 from repro.resilience.bench import _run_to_sigkill
 from repro.store import TelemetryStore
-from repro.store.bench import (
-    _committed_trials,
-    _crash_payload,
-    _crash_store_worker,
-    _victim_trial,
-)
 
 
 def _series(n, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, 7)).astype(np.float32)
+
+
+def _committed_trials():
+    """The two trials the crash workers durably commit before dying."""
+    rng = np.random.default_rng(7)
+    return [
+        (0, rng.normal(size=(600, 7)).astype(np.float32)),
+        (1, rng.normal(size=(480, 7)).astype(np.float32)),
+    ]
+
+
+def _victim_trial():
+    """The trial whose durability op the injected fault interrupts."""
+    rng = np.random.default_rng(11)
+    return 2, rng.normal(size=(540, 7)).astype(np.float32)
+
+
+def _crash_store_worker(payload):
+    """Sacrificial child: commit two trials, then die at a fault point.
+
+    ``store.wal.append`` fires during the third trial's commit;
+    ``store.segment.finalize`` / ``store.manifest.swap`` fire during the
+    flush that tries to seal all three.  Module-level so the spawned
+    child can unpickle it.
+    """
+    install(FaultInjector([
+        FaultSpec(payload["point"], at_hit=payload["at_hit"], mode="kill")
+    ]))
+    store = TelemetryStore(payload["root"], n_shards=payload["n_shards"])
+    for job_id, series in _committed_trials():
+        store.append(job_id, series, label=job_id, model_name=f"m{job_id}")
+    store.commit()
+    job_id, series = _victim_trial()
+    store.append(job_id, series, label=job_id, model_name=f"m{job_id}")
+    if payload["point"] == "store.wal.append":
+        store.commit()
+    else:
+        store.flush()
+    raise SystemExit("worker was supposed to die before finishing")
 
 
 class TestInProcessFaults:
@@ -85,7 +118,8 @@ class TestInProcessFaults:
 # wal.append hits once per record per commit: the workers durably commit
 # two trials first, so hit 3 lands mid-frame in the victim's commit.
 # Kills during the flush sequence lose nothing — the flush group-commits
-# the victim to the WAL before sealing (see repro.store.bench).
+# the victim to the WAL before sealing, and the WAL survives until the
+# manifest swap lands.
 _SIGKILL_SCENARIOS = [
     ("store.wal.append", 3, False),
     ("store.segment.finalize", 1, True),
@@ -103,9 +137,10 @@ class TestSigkilledWriter:
         if victim_survives:
             survivors.append(_victim_trial())
         root = tmp_path / "s"
-        killed = _run_to_sigkill(
-            _crash_store_worker, _crash_payload(root, point, at_hit, 2)
-        )
+        killed = _run_to_sigkill(_crash_store_worker, {
+            "root": str(root), "point": point, "at_hit": at_hit,
+            "n_shards": 2,
+        })
         assert killed, f"worker survived fault at {point}"
         with TelemetryStore(root, n_shards=2) as store:
             assert store.keys() == [(j, 0) for j, _ in survivors]

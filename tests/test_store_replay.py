@@ -11,14 +11,7 @@ from repro.serve.loadgen import FleetLoadGenerator
 from repro.serve.server import ServeConfig
 from repro.simcluster.workload import DEFAULT_DT_S
 from repro.store import ReplayConfig, Replayer, TelemetryStore
-
-
-class _MeanSignModel:
-    """Deterministic near-free model: label 1 where the grand mean > 0."""
-
-    def predict(self, X):
-        X = np.asarray(X)
-        return (X.mean(axis=(1, 2)) > 0).astype(np.int64)
+from tests.stubs import MeanSignModel
 
 
 def _filled_store(root, n_shards=2, n_jobs=6, n=700):
@@ -42,7 +35,7 @@ def _trace(store, rate=1.0, drift=None):
         n_jobs=_REPLAY.n_jobs, samples_per_tick=_REPLAY.samples_per_tick,
         min_samples=_REPLAY.min_samples, seed=_REPLAY.seed, rate=rate,
     ))
-    report = replayer.run(_MeanSignModel(), serve_config=_SERVE, drift=drift)
+    report = replayer.run(MeanSignModel(), serve_config=_SERVE, drift=drift)
     return [
         (e.job_id, int(e.prediction.label), int(e.prediction.smoothed_label))
         for e in report.emissions
@@ -74,10 +67,10 @@ class TestReplayDeterminism:
                 n_jobs=6, min_samples=540, samples_per_tick=90, rate=4.0))
             gen = replayer.loadgen()
             assert gen.tick_s == pytest.approx(90 * DEFAULT_DT_S / 4.0)
-            report = replayer.run(_MeanSignModel(), serve_config=_SERVE)
+            report = replayer.run(MeanSignModel(), serve_config=_SERVE)
             base = Replayer(store, ReplayConfig(
                 n_jobs=6, min_samples=540, samples_per_tick=90, rate=1.0,
-            )).run(_MeanSignModel(), serve_config=_SERVE)
+            )).run(MeanSignModel(), serve_config=_SERVE)
             assert report.n_predictions == base.n_predictions
             assert report.sim_seconds == pytest.approx(base.sim_seconds / 4.0)
 

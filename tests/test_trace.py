@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from repro.fleet import FleetRouter, FleetWorker
-from repro.fleet.bench import _ThresholdModel
 from repro.fleet.health import HeartbeatMonitor
 from repro.resilience.faults import FaultSpec, InjectedFault, inject
 from repro.serve import FleetLoadGenerator, ServeConfig, SimulatedClock
 from repro.serve.server import InferenceServer
 from repro.trace import Span, TraceContext, TraceQuery, TraceSink, Tracer, load_spans
+from tests.stubs import ThresholdModel
 
 
 def _span(trace_id, span_id, parent_id=None, name="stage", *, start=0.0,
@@ -208,7 +208,7 @@ class TestServeTracing:
                                  max_samples_per_job=270, seed=3, clock=clock)
         sink = TraceSink() if traced else None
         server = InferenceServer(
-            _ThresholdModel(),
+            ThresholdModel(),
             ServeConfig(window=90, hop=90, flush_deadline_s=0.0),
             clock=clock,
             tracer=Tracer(sink, component="srv", worker_id="srv")
@@ -239,7 +239,7 @@ class TestServeTracing:
     def test_server_without_tracer_accepts_trace_contexts(self):
         clock = SimulatedClock()
         server = InferenceServer(
-            _ThresholdModel(),
+            ThresholdModel(),
             ServeConfig(window=90, hop=90, flush_deadline_s=0.0),
             clock=clock,
         )
@@ -251,7 +251,7 @@ class TestServeTracing:
         sink = TraceSink()
         clock = SimulatedClock()
         server = InferenceServer(
-            _ThresholdModel(),
+            ThresholdModel(),
             ServeConfig(window=90, hop=90, flush_deadline_s=0.0),
             clock=clock, tracer=Tracer(sink, component="srv"),
         )
@@ -260,12 +260,66 @@ class TestServeTracing:
         assert sink.spans() == []
 
 
+class TestTracedFleetFailover:
+    """A traced 4-worker fleet that loses a worker mid-run."""
+
+    def _killed_replay(self, *, traced):
+        clock = SimulatedClock()
+        rng = np.random.default_rng(2022)
+        series = [rng.random((900, 7)) * 100.0 for _ in range(8)]
+        gen = FleetLoadGenerator(series, n_jobs=16, samples_per_tick=90,
+                                 max_samples_per_job=900, seed=2022,
+                                 clock=clock)
+        sink = TraceSink() if traced else None
+
+        def tracer(component, **kw):
+            return Tracer(sink, component=component, **kw) if traced else None
+
+        config = ServeConfig(window=90, hop=90, flush_deadline_s=0.0)
+        workers = [
+            FleetWorker(f"w{i}", ThresholdModel(), config, clock=clock,
+                        tracer=tracer(f"w{i}", worker_id=f"w{i}"))
+            for i in range(4)
+        ]
+        router = FleetRouter(workers, history=gen.job_stream,
+                             tracer=tracer("router"))
+        # fleet.worker.crash trips once per live worker per step, in
+        # sorted-id order: hit 3 * 4 + 1 is w0 at the top of tick 3.
+        with inject(FaultSpec("fleet.worker.crash", at_hit=3 * 4 + 1,
+                              mode="raise")):
+            report = gen.run(router, tracer=tracer("gen"))
+        return report, router, sink
+
+    def test_traces_connect_and_emissions_match_untraced_twin(self):
+        traced, router, sink = self._killed_replay(traced=True)
+        untraced, _, _ = self._killed_replay(traced=False)
+
+        def key(report):
+            return [(e.job_id, e.prediction.sample_index, e.prediction.label,
+                     e.prediction.smoothed_label, e.prediction.confidence)
+                    for e in report.emissions]
+
+        assert key(traced) == key(untraced)
+        assert [(e.kind, e.worker_id) for e in router.events] == [
+            ("failover", "w0")]
+        spans = sink.spans()
+        query = TraceQuery(spans)
+        trace_ids = query.trace_ids()
+        assert trace_ids
+        assert all(query.is_connected(t) for t in trace_ids)
+        lost = [s for s in spans if s.name == "worker.lost"]
+        assert lost and all(s.failed and s.worker_id == "w0" for s in lost)
+        links = [(s.trace_id, s.annotations["links"]) for s in spans
+                 if s.name in ("failover.rebuild", "failover.replay")]
+        assert links and all(t == link for t, link in links)
+
+
 class TestFleetClockPropagation:
     """Satellite: one injected clock must reach every component."""
 
     def _worker(self, wid, clock):
         return FleetWorker(
-            wid, _ThresholdModel(),
+            wid, ThresholdModel(),
             ServeConfig(window=90, hop=90, flush_deadline_s=0.0),
             clock=clock,
         )
