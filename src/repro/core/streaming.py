@@ -46,10 +46,11 @@ class OnlineWorkloadClassifier:
     vote_window:
         Number of recent window predictions pooled by the majority vote.
     monitor:
-        Optional per-sample tap with an ``update(row)`` method (e.g. a
+        Optional tap with an ``update_many(rows)`` method (e.g. a
         :class:`~repro.monitor.drift.SensorDriftDetector`): every pushed
-        row is forwarded to it, so single-stream deployments get drift
-        detection without a second consumer of the telemetry.
+        row is forwarded to it, in order, with one call per :meth:`push`,
+        so single-stream deployments get drift detection without a second
+        consumer of the telemetry.
     """
 
     model: object
@@ -67,8 +68,9 @@ class OnlineWorkloadClassifier:
             raise ValueError("window, hop and vote_window must be >= 1")
         if not hasattr(self.model, "predict"):
             raise TypeError("model must expose predict()")
-        if self.monitor is not None and not hasattr(self.monitor, "update"):
-            raise TypeError("monitor must expose update(row)")
+        if self.monitor is not None and not hasattr(self.monitor,
+                                                    "update_many"):
+            raise TypeError("monitor must expose update_many(rows)")
         # deques with maxlen make the per-sample slide O(1); the old
         # list.pop(0) cost O(window) per sample.
         self._buffer = deque(maxlen=self.window)
@@ -91,6 +93,8 @@ class OnlineWorkloadClassifier:
                 f"expected {N_GPU_SENSORS} sensors per sample, "
                 f"got {samples.shape[1]}"
             )
+        if self.monitor is not None:
+            self.monitor.update_many(samples)
         out: list[StreamPrediction] = []
         pos, n = 0, samples.shape[0]
         while pos < n:
@@ -104,9 +108,6 @@ class OnlineWorkloadClassifier:
                 due = max(need_full, 1)
             block = samples[pos : pos + due]
             pos += block.shape[0]
-            if self.monitor is not None:
-                for row in block:
-                    self.monitor.update(row)
             self._buffer.extend(block)
             self._n_seen += block.shape[0]
             self._since_last += block.shape[0]

@@ -72,6 +72,8 @@ class DriftConfig:
     cov_floor_frac: float = 0.05    # same for covariance features
 
     def __post_init__(self):
+        if self.n_blocks < 1:
+            raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
         if self.reference < 2 * self.n_blocks:
             raise ValueError(
                 f"reference window ({self.reference}) must hold at least "
@@ -81,6 +83,11 @@ class DriftConfig:
             raise ValueError("window must be >= 2 and check_every >= 1")
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        if self.cooldown < 0 or self.horizon < 0:
+            raise ValueError(
+                f"cooldown and horizon must be >= 0, got {self.cooldown} "
+                f"and {self.horizon}"
+            )
         if self.mean_floor_frac < 0 or self.cov_floor_frac < 0:
             raise ValueError("floor fractions must be >= 0")
         if min(self.z_mean, self.z_cov, self.ph_delta, self.ph_threshold) <= 0:
@@ -141,18 +148,70 @@ class PageHinkley:
 
     def update(self, x: float) -> bool:
         """Consume one value; True when a change is detected (then resets)."""
-        self._n += 1
-        self._mean += (x - self._mean) / self._n
-        self._cum_up += x - self._mean - self.delta
-        self._min_up = min(self._min_up, self._cum_up)
-        self._cum_down += x - self._mean + self.delta
-        self._max_down = max(self._max_down, self._cum_down)
-        if self._n < self.min_samples:
-            return False
-        if self.statistic > self.threshold:
-            self.reset()
-            return True
-        return False
+        return bool(_page_hinkley_scan([self], np.array([[x]], dtype=np.float64)))
+
+
+def _page_hinkley_scan(detectors: list[PageHinkley], z: np.ndarray,
+                       first_row: int = 0) -> list[tuple[int, int, float]]:
+    """Feed column ``c`` of the ``(k, len(detectors))`` array ``z``, in
+    row order, to ``detectors[c]``; returns ``(row, c, statistic)`` per
+    firing.
+
+    The running mean is the one sequential recurrence, kept as a scalar
+    Python-float loop per column.  Cumulants and extrema then follow from
+    ``accumulate`` over the whole chunk, and the threshold test is one
+    mask.  A firing resets only its own detector, which is re-scanned from
+    the next row.  Every value is computed by the same float operations,
+    in the same order, as one scalar update per sample, so the result does
+    not depend on how a stream is split into calls.
+    """
+    k = z.shape[0]
+    if k == 0:
+        return []
+    means = []
+    for c, det in enumerate(detectors):
+        n, mean, column = det._n, det._mean, []
+        for x in z[:, c].tolist():
+            n += 1
+            mean += (x - mean) / n
+            column.append(mean)
+        means.append(column)
+    dev = z - np.array(means).T
+    (cum_up, cum_down, min_up, max_down, delta, threshold, min_samples,
+     n0) = np.array([(d._cum_up, d._cum_down, d._min_up, d._max_down,
+                      d.delta, d.threshold, d.min_samples, d._n)
+                     for d in detectors]).T
+    # Row 0 of each running value holds the state before the chunk.
+    steps = np.empty((k + 1, 2, len(detectors)))
+    steps[0] = cum_up, cum_down
+    steps[1:, 0] = dev - delta
+    steps[1:, 1] = dev + delta
+    cum = np.add.accumulate(steps)
+    up, down = cum[:, 0], cum[:, 1]
+    steps[0] = min_up, max_down
+    steps[1:] = cum[1:]
+    min_up = np.minimum.accumulate(steps[:, 0])
+    max_down = np.maximum.accumulate(steps[:, 1])
+    stat = np.maximum(up - min_up, max_down - down)
+    n = n0 + np.arange(k + 1)[:, None]
+    fire = (n >= min_samples) & (stat > threshold)
+    fire[0] = False
+    fired = []
+    for c, det in enumerate(detectors):
+        if not fire[:, c].any():
+            det._n = int(n[-1, c])
+            det._mean = means[c][-1]
+            det._cum_up = float(up[-1, c])
+            det._min_up = float(min_up[-1, c])
+            det._cum_down = float(down[-1, c])
+            det._max_down = float(max_down[-1, c])
+            continue
+        row = int(fire[:, c].argmax())
+        fired.append((first_row + row - 1, c, float(stat[row - 1, c])))
+        det.reset()
+        fired.extend((r, c, s) for r, _, s in _page_hinkley_scan(
+            [det], z[row:, c:c + 1], first_row + row))
+    return fired
 
 
 def _cov_feature_names() -> list[str]:
@@ -164,14 +223,23 @@ def _cov_feature_names() -> list[str]:
     ]
 
 
-class SensorDriftDetector:
-    """Per-stream drift detector over ``(7,)`` telemetry rows.
+#: Tie-break for events on the same row: the order the per-row detector
+#: always emitted them in.
+_KIND_ORDER = {"page_hinkley": 0, "mean": 1, "covariance": 2}
 
-    Feed rows with :meth:`update`; every call costs O(sensors²) work and
-    the whole detector holds O(window) bounded state — nothing grows with
-    stream length (pinned by the memory test).  The first ``reference``
-    samples only build the reference distribution; detection starts once
-    the rolling window has filled past it.
+
+class SensorDriftDetector:
+    """Per-stream drift detector over ``(k, 7)`` telemetry chunks.
+
+    Feed rows with :meth:`update_many` (or one at a time with
+    :meth:`update`, which is the same call on a one-row chunk).  A chunk
+    costs a few array operations over its ``k`` rows plus one scalar loop
+    per sensor for the Page–Hinkley running mean, the only sequential
+    step.  Events and state are bit-identical however a stream is split
+    into chunks.  The detector holds O(window) bounded state — nothing
+    grows with stream length (pinned by the memory test).  The first
+    ``reference`` samples only build the reference distribution;
+    detection starts once the rolling window has filled past it.
     """
 
     def __init__(self, session_id: object = None,
@@ -183,14 +251,14 @@ class SensorDriftDetector:
         self.n_events = 0
         self._first_event_sample: int | None = None
         self._last_event_sample: int | None = None
-        # Reference accumulation (bounded by cfg.reference rows).
+        # Reference accumulation: chunks totalling <= cfg.reference rows.
         self._ref_rows: list[np.ndarray] | None = []
         self._ref_mean: np.ndarray | None = None
         self._ref_std: np.ndarray | None = None
         self._ref_cov: np.ndarray | None = None
         self._ref_cov_std: np.ndarray | None = None
-        # Rolling current window: raw rows for eviction plus running sums.
-        self._rows: deque[np.ndarray] = deque(maxlen=cfg.window)
+        # Rolling current window: the last <= window rows plus running sums.
+        self._rows = np.empty((0, N_GPU_SENSORS))
         self._sum = np.zeros(N_GPU_SENSORS)
         self._iu = np.triu_indices(N_GPU_SENSORS)
         self._sum_prod = np.zeros(len(self._iu[0]))
@@ -241,32 +309,36 @@ class SensorDriftDetector:
     # -- streaming -----------------------------------------------------
     def update(self, row) -> list[DriftEvent]:
         """Consume one ``(7,)`` telemetry row; returns any events fired."""
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (N_GPU_SENSORS,):
-            raise ValueError(
-                f"expected a ({N_GPU_SENSORS},) row, got shape {row.shape}"
-            )
-        self.n_seen += 1
-        if self.n_seen <= self.config.warmup:
-            return []
-        if self._ref_rows is not None:
-            self._ref_rows.append(row)
-            if len(self._ref_rows) >= self.config.reference:
-                self._freeze_reference()
-            return []
-        return self._detect(row)
+        return self.update_many(np.asarray(row, dtype=np.float64)[None])
 
     def update_many(self, rows) -> list[DriftEvent]:
-        """Consume ``(k, 7)`` rows in time order; concatenated events."""
-        out: list[DriftEvent] = []
-        for row in np.atleast_2d(np.asarray(rows, dtype=np.float64)):
-            out.extend(self.update(row))
-        return out
+        """Consume ``(k, 7)`` rows in time order; returns the events fired."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != N_GPU_SENSORS:
+            raise ValueError(
+                f"expected (k, {N_GPU_SENSORS}) rows, got shape {rows.shape}"
+            )
+        first = self.n_seen + 1             # sample index of rows[0]
+        self.n_seen += rows.shape[0]
+        skip = min(max(self.config.warmup - first + 1, 0), rows.shape[0])
+        rows, first = rows[skip:], first + skip
+        if rows.shape[0] == 0:
+            return []
+        if self._ref_rows is not None:
+            need = self.config.reference - sum(map(len, self._ref_rows))
+            self._ref_rows.append(rows[:need].copy())
+            if rows.shape[0] < need:
+                return []
+            self._freeze_reference()
+            rows, first = rows[need:], first + need
+        if rows.shape[0] == 0:
+            return []
+        return self._detect(rows, first)
 
     # -- internals -----------------------------------------------------
     def _freeze_reference(self) -> None:
         cfg = self.config
-        ref = np.stack(self._ref_rows)
+        ref = np.concatenate(self._ref_rows)
         self._ref_rows = None
         self._ref_mean = ref.mean(axis=0)
         self._ref_std = np.maximum(ref.std(axis=0), _EPS)
@@ -319,77 +391,105 @@ class SensorDriftDetector:
             np.maximum(np.stack(feats).std(axis=0) * scale, cov_floor),
             _EPS)
         self._ph_scale = np.maximum(self._ref_std, mean_floor)
+        self._ph_gain = np.sqrt(self._n_eff_factor)
 
-    def _detect(self, row: np.ndarray) -> list[DriftEvent]:
+    def _detect(self, rows: np.ndarray, first: int) -> list[DriftEvent]:
+        """Run the live detectors over ``rows``; ``first`` is the sample
+        index of ``rows[0]``."""
         cfg = self.config
-        out: list[DriftEvent] = []
-        # Rolling sums: evict before append when the window is full.
-        if len(self._rows) == cfg.window:
-            old = self._rows[0]
-            self._sum -= old
-            centred_old = old - self._ref_mean
-            self._sum_prod -= np.outer(centred_old, centred_old)[self._iu]
-        self._rows.append(row)
-        self._sum += row
-        centred = row - self._ref_mean
-        self._sum_prod += np.outer(centred, centred)[self._iu]
+        k, held = rows.shape[0], self._rows.shape[0]
+        iu0, iu1 = self._iu
+        buf = np.concatenate((self._rows, rows))
+        centred = buf - self._ref_mean
+        # Per-row terms of the rolling sums: the raw row, then the
+        # reference-centred products (the same values as
+        # np.outer(c, c)[iu], elementwise).
+        feats = np.concatenate((buf, centred[:, iu0] * centred[:, iu1]),
+                               axis=1)
+        # Interleave [state, -evicted_0, row_0, -evicted_1, row_1, ...] and
+        # accumulate: bit-identical to evicting (-=) then appending (+=)
+        # row by row, because a - b == a + (-b) in IEEE arithmetic.  Rows
+        # that evict nothing add -0.0, which leaves every value unchanged.
+        terms = np.empty((2 * k + 1, feats.shape[1]))
+        terms[0, :N_GPU_SENSORS] = self._sum
+        terms[0, N_GPU_SENSORS:] = self._sum_prod
+        terms[1::2] = -0.0
+        terms[2::2] = feats[held:]
+        n_evict = max(held + k - cfg.window, 0)
+        if n_evict:
+            terms[2 * (k - n_evict) + 1::2] = -feats[:n_evict]
+        sums = np.add.accumulate(terms)[2::2]    # state after each row
+        self._sum = sums[-1, :N_GPU_SENSORS].copy()
+        self._sum_prod = sums[-1, N_GPU_SENSORS:].copy()
+        self._rows = buf[-cfg.window:].copy()
+
         # Page–Hinkley on standardized residuals (autocorrelation-deflated
         # so cumulative excursions stay in long-run sigma units), one
         # detector per sensor.
-        z_row = centred / self._ph_scale * np.sqrt(self._n_eff_factor)
-        for i, ph in enumerate(self._ph):
-            stat = ph.statistic
-            if ph.update(z_row[i]):
-                out.extend(self._fire(
-                    self._sensor_names[i], "page_hinkley",
-                    max(stat, cfg.ph_threshold), cfg.ph_threshold))
-        # Window z-tests every check_every samples once the window filled.
-        self._since_check += 1
-        if len(self._rows) == cfg.window and self._since_check >= cfg.check_every:
-            self._since_check = 0
-            out.extend(self._check_window())
+        z_rows = centred[held:] / self._ph_scale * self._ph_gain
+        candidates = [
+            (row, self._sensor_names[i], "page_hinkley",
+             max(stat, cfg.ph_threshold), cfg.ph_threshold, i)
+            for row, i, stat in _page_hinkley_scan(self._ph, z_rows)
+        ]
+        # Window z-tests every check_every samples once the window filled:
+        # only the rows where a test falls due are evaluated.
+        start = max(cfg.window - held - 1,
+                    cfg.check_every - self._since_check - 1, 0)
+        due = np.arange(start, k, cfg.check_every)
+        self._since_check = (k - 1 - int(due[-1]) if due.size
+                             else self._since_check + k)
+        if due.size:
+            candidates.extend(self._check_windows(due, sums[due]))
+        candidates.sort(key=lambda c: (c[0], _KIND_ORDER[c[2]], c[5]))
+        out: list[DriftEvent] = []
+        for row, sensor, kind, statistic, threshold, _ in candidates:
+            out.extend(self._fire(sensor, kind, statistic, threshold,
+                                  first + row))
         return out
 
-    def _check_window(self) -> list[DriftEvent]:
+    def _check_windows(self, due: np.ndarray, sums: np.ndarray) -> list:
+        """Window z-test candidates at chunk rows ``due``, from the rolling
+        sums after each of those rows."""
         cfg = self.config
-        out: list[DriftEvent] = []
-        n = len(self._rows)
-        cur_mean = self._sum / n
+        iu0, iu1 = self._iu
+        cur_mean = sums[:, :N_GPU_SENSORS] / cfg.window
+        diff = cur_mean - self._ref_mean
         # Mean z-test against the batch-means scale (see _freeze_reference).
-        z = (cur_mean - self._ref_mean) / self._mean_scale
-        for i in np.flatnonzero(np.abs(z) > cfg.z_mean):
-            out.extend(self._fire(
-                self._sensor_names[int(i)], "mean", float(z[i]), cfg.z_mean))
+        z = diff / self._mean_scale
+        out = [(int(due[r]), self._sensor_names[i], "mean", float(z[r, i]),
+                cfg.z_mean, i)
+               for r, i in zip(*np.nonzero(np.abs(z) > cfg.z_mean))]
         # Covariance-feature z-test against the block-estimated scale.
         # _sum_prod accumulates products about the *reference* mean; subtract
         # the mean-offset outer product so the tested statistic is the
         # window's covariance about its own mean — otherwise any mean shift
         # (temperature creeps up all job long) leaks quadratically into
         # every var/cov feature and double-fires what the mean test owns.
-        diff = cur_mean - self._ref_mean
-        cur_cov = self._sum_prod / n - np.outer(diff, diff)[self._iu]
+        cur_cov = sums[:, N_GPU_SENSORS:] / cfg.window - diff[:, iu0] * diff[:, iu1]
         zc = (cur_cov - self._ref_cov) / self._ref_cov_std
-        for i in np.flatnonzero(np.abs(zc) > cfg.z_cov):
-            out.extend(self._fire(
-                self._cov_names[int(i)], "covariance", float(zc[i]), cfg.z_cov))
+        out.extend(
+            (int(due[r]), self._cov_names[i], "covariance", float(zc[r, i]),
+             cfg.z_cov, i)
+            for r, i in zip(*np.nonzero(np.abs(zc) > cfg.z_cov)))
         return out
 
     def _fire(self, sensor: str, kind: str, statistic: float,
-              threshold: float) -> list[DriftEvent]:
+              threshold: float, sample_index: int) -> list[DriftEvent]:
         key = f"{kind}:{sensor}"
         last = self._last_fired.get(key)
-        if last is not None and self.n_seen - last < self.config.cooldown:
+        if last is not None and sample_index - last < self.config.cooldown:
             return []
-        self._last_fired[key] = self.n_seen
+        self._last_fired[key] = sample_index
         self.n_events += 1
-        self._last_event_sample = self.n_seen
+        self._last_event_sample = sample_index
         if self._first_event_sample is None:
-            self._first_event_sample = self.n_seen
+            self._first_event_sample = sample_index
         return [DriftEvent(
             session_id=self.session_id,
             sensor=sensor,
             kind=kind,
-            sample_index=self.n_seen,
+            sample_index=sample_index,
             statistic=statistic,
             threshold=threshold,
         )]

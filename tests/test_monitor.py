@@ -144,6 +144,16 @@ class TestSensorDriftDetector:
         with pytest.raises(ValueError, match="floor"):
             DriftConfig(mean_floor_frac=-0.1)
 
+    def test_config_rejects_blocks_cooldown_horizon_up_front(self):
+        with pytest.raises(ValueError, match="n_blocks"):
+            DriftConfig(n_blocks=0)
+        with pytest.raises(ValueError, match="cooldown"):
+            DriftConfig(cooldown=-1)
+        with pytest.raises(ValueError, match="horizon"):
+            DriftConfig(horizon=-1)
+        # Zero is a valid cooldown (every firing reported) and horizon.
+        DriftConfig(cooldown=0, horizon=0)
+
 
 class TestFleetDriftMonitor:
     def _drive(self, monitor, streams, chunk=90):

@@ -240,8 +240,8 @@ class TestOnlineClassifierMonitorHook:
             def __init__(self):
                 self.rows = []
 
-            def update(self, row):
-                self.rows.append(np.asarray(row).copy())
+            def update_many(self, rows):
+                self.rows.extend(np.array(rows))
 
         recorder = _Recorder()
         clf = OnlineWorkloadClassifier(

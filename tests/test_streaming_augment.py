@@ -123,8 +123,8 @@ class TestOnlineClassifier:
             def __init__(self):
                 self.rows = []
 
-            def update(self, row):
-                self.rows.append(np.array(row))
+            def update_many(self, rows):
+                self.rows.extend(np.array(rows))
 
         tap = _Tap()
         seen = tap.rows
