@@ -100,7 +100,8 @@ class DriftEvent:
 
     ``kind`` is ``"mean"``/``"covariance"``/``"page_hinkley"``;
     ``statistic`` is the z-score or PH cumulative deviation that crossed
-    ``threshold``; ``sample_index`` counts samples into the stream
+    ``threshold`` (for PH, the value after the crossing sample and before
+    the reset); ``sample_index`` counts samples into the stream
     (reference window included).
     """
 
@@ -207,7 +208,7 @@ def _page_hinkley_scan(detectors: list[PageHinkley], z: np.ndarray,
             det._max_down = float(max_down[-1, c])
             continue
         row = int(fire[:, c].argmax())
-        fired.append((first_row + row - 1, c, float(stat[row - 1, c])))
+        fired.append((first_row + row - 1, c, float(stat[row, c])))
         det.reset()
         fired.extend((r, c, s) for r, _, s in _page_hinkley_scan(
             [det], z[row:, c:c + 1], first_row + row))
@@ -428,8 +429,8 @@ class SensorDriftDetector:
         # detector per sensor.
         z_rows = centred[held:] / self._ph_scale * self._ph_gain
         candidates = [
-            (row, self._sensor_names[i], "page_hinkley",
-             max(stat, cfg.ph_threshold), cfg.ph_threshold, i)
+            (row, self._sensor_names[i], "page_hinkley", stat,
+             cfg.ph_threshold, i)
             for row, i, stat in _page_hinkley_scan(self._ph, z_rows)
         ]
         # Window z-tests every check_every samples once the window filled:

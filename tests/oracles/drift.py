@@ -71,6 +71,7 @@ class PageHinkley:
         if self._n < self.min_samples:
             return False
         if self.statistic > self.threshold:
+            self.fired_statistic = self.statistic
             self.reset()
             return True
         return False
@@ -250,11 +251,10 @@ class SensorDriftDetector:
         # detector per sensor.
         z_row = centred / self._ph_scale * np.sqrt(self._n_eff_factor)
         for i, ph in enumerate(self._ph):
-            stat = ph.statistic
             if ph.update(z_row[i]):
                 out.extend(self._fire(
                     self._sensor_names[i], "page_hinkley",
-                    max(stat, cfg.ph_threshold), cfg.ph_threshold))
+                    ph.fired_statistic, cfg.ph_threshold))
         # Window z-tests every check_every samples once the window filled.
         self._since_check += 1
         if len(self._rows) == cfg.window and self._since_check >= cfg.check_every:

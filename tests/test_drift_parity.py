@@ -108,6 +108,15 @@ class TestOracleParity:
         assert Counter(e.kind for e in events) == {
             "mean": 599, "page_hinkley": 315, "covariance": 109}
 
+    def test_page_hinkley_reports_the_crossing_statistic(
+            self, release_streams):
+        events = []
+        for job, stream in enumerate(release_streams):
+            events.extend(SensorDriftDetector(job).update_many(stream))
+        ph = [e for e in events if e.kind == "page_hinkley"]
+        assert len(ph) == 315
+        assert all(e.statistic > e.threshold for e in ph)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_injected_drift_with_warmup(self, seed):
         # warmup=50 and reference=270 put both boundaries (rows 50 and
