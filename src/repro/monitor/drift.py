@@ -4,8 +4,7 @@ A serving fleet rots silently: a new DNN architecture, a preprocessing
 change, or a sensor recalibration shifts the telemetry distribution and
 the deployed classifier keeps emitting confident, wrong labels.  This
 module watches the *inputs* — no labels required — with two complementary
-detectors, both O(1) state and O(sensors) work per sample, both exactly
-deterministic:
+detectors, both with bounded state and both exactly deterministic:
 
 * **Reference-window z-tests** — the first ``reference`` samples of a
   stream are frozen as the reference distribution (per-sensor mean plus
@@ -20,6 +19,14 @@ deterministic:
   persistent mean shifts long before a window test sees them; its
   false-positive rate is controlled by ``ph_delta``/``ph_threshold``
   (expected excursion probability ``~exp(-2·delta·threshold)``).
+
+Telemetry arrives in chunks (one ingress chunk per job per serving tick),
+and the cost is paid per chunk: a few array operations over the chunk's
+rows for the rolling sums, the Page–Hinkley cumulants and the window
+tests, which run only at the rows where they fall due.  The one
+sequential step is the Page–Hinkley running mean, a scalar loop per
+sensor.  Events and state are bit-identical however a stream is split
+into chunks, down to one row at a time.
 """
 
 from __future__ import annotations
@@ -149,7 +156,7 @@ class PageHinkley:
 
     def update(self, x: float) -> bool:
         """Consume one value; True when a change is detected (then resets)."""
-        return bool(_page_hinkley_scan([self], np.array([[x]], dtype=np.float64)))
+        return bool(_page_hinkley_scan([self], np.array([[x]], np.float64)))
 
 
 def _page_hinkley_scan(detectors: list[PageHinkley], z: np.ndarray,
@@ -224,9 +231,9 @@ def _cov_feature_names() -> list[str]:
     ]
 
 
-#: Tie-break for events on the same row: the order the per-row detector
-#: always emitted them in.
-_KIND_ORDER = {"page_hinkley": 0, "mean": 1, "covariance": 2}
+#: Rows per detection pass; longer chunks are split so that transient
+#: arrays stay bounded (the result does not depend on the split).
+_MAX_CHUNK = 4096
 
 
 class SensorDriftDetector:
@@ -319,10 +326,10 @@ class SensorDriftDetector:
             raise ValueError(
                 f"expected (k, {N_GPU_SENSORS}) rows, got shape {rows.shape}"
             )
-        first = self.n_seen + 1             # sample index of rows[0]
+        start = self.n_seen
         self.n_seen += rows.shape[0]
-        skip = min(max(self.config.warmup - first + 1, 0), rows.shape[0])
-        rows, first = rows[skip:], first + skip
+        skip = max(self.config.warmup - start, 0)
+        rows, first = rows[skip:], start + skip + 1   # sample index of rows[0]
         if rows.shape[0] == 0:
             return []
         if self._ref_rows is not None:
@@ -332,9 +339,10 @@ class SensorDriftDetector:
                 return []
             self._freeze_reference()
             rows, first = rows[need:], first + need
-        if rows.shape[0] == 0:
-            return []
-        return self._detect(rows, first)
+        out: list[DriftEvent] = []
+        for lo in range(0, rows.shape[0], _MAX_CHUNK):
+            out.extend(self._detect(rows[lo:lo + _MAX_CHUNK], first + lo))
+        return out
 
     # -- internals -----------------------------------------------------
     def _freeze_reference(self) -> None:
@@ -428,9 +436,11 @@ class SensorDriftDetector:
         # so cumulative excursions stay in long-run sigma units), one
         # detector per sensor.
         z_rows = centred[held:] / self._ph_scale * self._ph_gain
+        # Candidates sort by (row, kind, index): PH, then mean, then
+        # covariance, the order the per-row detector emitted them in.
         candidates = [
-            (row, self._sensor_names[i], "page_hinkley", stat,
-             cfg.ph_threshold, i)
+            (row, 0, i, self._sensor_names[i], "page_hinkley", stat,
+             cfg.ph_threshold)
             for row, i, stat in _page_hinkley_scan(self._ph, z_rows)
         ]
         # Window z-tests every check_every samples once the window filled:
@@ -442,9 +452,9 @@ class SensorDriftDetector:
                              else self._since_check + k)
         if due.size:
             candidates.extend(self._check_windows(due, sums[due]))
-        candidates.sort(key=lambda c: (c[0], _KIND_ORDER[c[2]], c[5]))
         out: list[DriftEvent] = []
-        for row, sensor, kind, statistic, threshold, _ in candidates:
+        for row, _, _, sensor, kind, statistic, threshold in sorted(
+                candidates):
             out.extend(self._fire(sensor, kind, statistic, threshold,
                                   first + row))
         return out
@@ -458,8 +468,8 @@ class SensorDriftDetector:
         diff = cur_mean - self._ref_mean
         # Mean z-test against the batch-means scale (see _freeze_reference).
         z = diff / self._mean_scale
-        out = [(int(due[r]), self._sensor_names[i], "mean", float(z[r, i]),
-                cfg.z_mean, i)
+        out = [(int(due[r]), 1, i, self._sensor_names[i], "mean",
+                float(z[r, i]), cfg.z_mean)
                for r, i in zip(*np.nonzero(np.abs(z) > cfg.z_mean))]
         # Covariance-feature z-test against the block-estimated scale.
         # _sum_prod accumulates products about the *reference* mean; subtract
@@ -467,11 +477,12 @@ class SensorDriftDetector:
         # window's covariance about its own mean — otherwise any mean shift
         # (temperature creeps up all job long) leaks quadratically into
         # every var/cov feature and double-fires what the mean test owns.
-        cur_cov = sums[:, N_GPU_SENSORS:] / cfg.window - diff[:, iu0] * diff[:, iu1]
+        cur_cov = (sums[:, N_GPU_SENSORS:] / cfg.window
+                   - diff[:, iu0] * diff[:, iu1])
         zc = (cur_cov - self._ref_cov) / self._ref_cov_std
         out.extend(
-            (int(due[r]), self._cov_names[i], "covariance", float(zc[r, i]),
-             cfg.z_cov, i)
+            (int(due[r]), 2, i, self._cov_names[i], "covariance",
+             float(zc[r, i]), cfg.z_cov)
             for r, i in zip(*np.nonzero(np.abs(zc) > cfg.z_cov)))
         return out
 

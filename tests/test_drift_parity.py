@@ -127,6 +127,13 @@ class TestOracleParity:
         assert {e.kind for e in events} == {
             "mean", "covariance", "page_hinkley"}
 
+    def test_chunk_longer_than_one_detection_pass(self):
+        stream = _drifting(9000, seed=2)
+        oracle = OracleDetector(0, SENSITIVE)
+        fast = SensorDriftDetector(0, SENSITIVE)
+        assert fast.update_many(stream) == oracle.update_many(stream)
+        assert _state(fast) == _state(oracle)
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
