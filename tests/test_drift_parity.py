@@ -20,6 +20,7 @@ from repro.monitor import (
     inject_series,
 )
 from tests.oracles.drift import SensorDriftDetector as OracleDetector
+from tests.test_monitor import _stationary
 
 #: Chunk sizes checked on every input; None feeds the whole stream at once.
 CHUNKS = (1, 7, 90, 270, None)
@@ -61,13 +62,6 @@ def _assert_parity(stream, config, chunks=CHUNKS):
     for det in fast.values():
         np.testing.assert_array_equal(det._rows, np.stack(oracle._rows))
     return expected
-
-
-def _stationary(n, seed):
-    rng = np.random.default_rng(seed)
-    scale = np.array([8.0, 5.0, 300.0, 300.0, 0.5, 0.5, 20.0])
-    loc = np.array([50.0, 30.0, 20000.0, 12000.0, 50.0, 55.0, 150.0])
-    return rng.normal(size=(n, 7)) * scale + loc
 
 
 def _drifting(n, seed):
