@@ -9,10 +9,10 @@ Six subcommands cover the common workflows end to end::
     python -m repro monitor-bench    --scale 0.02 --jobs 24 --challenger good
     python -m repro resilience-bench --scale 0.01 --mtbf-epochs 2
 
-All commands are deterministic for a given ``--seed`` (``serve-bench`` and
-``monitor-bench`` wall-clock throughput varies with the machine; every
+All commands are deterministic for a given ``--seed`` (wall-clock readouts
+such as ``monitor-bench`` throughput vary with the machine; every
 classification, batch, shed, drift, rollout and preemption decision does
-not).
+not).  Serving throughput is timed by ``perfbench/run.py``, not here.
 """
 
 from __future__ import annotations
@@ -309,8 +309,6 @@ def _cmd_serve_bench(args) -> int:
     print(f"\nfleet: {args.jobs} jobs, {report.n_ticks} ticks "
           f"({report.sim_seconds:.0f}s simulated), "
           f"{report.n_predictions} windows classified")
-    print(f"throughput: {report.windows_per_second:,.0f} windows/s "
-          f"({report.wall_seconds:.2f}s wall)")
     if latency.get("count"):
         print(f"latency (simulated): p50={latency['p50']:.1f}s "
               f"p95={latency['p95']:.1f}s p99={latency['p99']:.1f}s")

@@ -17,13 +17,17 @@ Two interchangeable implementations share the same surface (``submit`` /
   :class:`WorkerUnavailable`.
 * :class:`SubprocessWorker` — the same worker inside a spawned child
   process (the :mod:`repro.parallel` convention: spawn context, never
-  fork), driven over a pipe.  Real process isolation, really
-  SIGKILL-able: the parent detects a dead child as a broken pipe and
-  raises :class:`WorkerUnavailable`, which the router turns into a
-  failover.  The parent timestamps every message with the shared clock
-  and the child syncs its private clock before acting, so a subprocess
-  fleet replays the exact schedule of an in-process one (pinned by the
-  crash test suite).
+  fork), driven over a pipe.  Admission runs in the parent: ``submit``
+  admits into a parent-side :class:`~repro.serve.server.IngressQueue`
+  without touching the pipe, and each ``step`` / ``drain`` ships that
+  tick's admitted chunks to the child in the one message that also
+  serves them.  Real process isolation, really SIGKILL-able: the parent
+  detects a dead child as a broken pipe at its next message (a ``step``,
+  not a ``submit``) and raises :class:`WorkerUnavailable`, which the
+  router turns into a failover.  The parent timestamps every message
+  with the shared clock and the child syncs its private clock before
+  acting, so a subprocess fleet replays the exact schedule of an
+  in-process one (pinned by the crash test suite).
 """
 
 from __future__ import annotations
@@ -44,7 +48,13 @@ from repro.resilience.faults import (
 )
 from repro.serve.loadgen import SimulatedClock
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.server import Emission, InferenceServer, ServeConfig, SubmitResult
+from repro.serve.server import (
+    Emission,
+    InferenceServer,
+    IngressQueue,
+    ServeConfig,
+    SubmitResult,
+)
 
 __all__ = ["WorkerUnavailable", "FleetWorker", "SubprocessWorker"]
 
@@ -216,6 +226,11 @@ def _subprocess_worker_main(conn, payload: bytes) -> None:
     installed here — a ``mode="kill"`` spec SIGKILLs *this* process,
     which the parent sees as a broken pipe.
 
+    ``step`` and ``drain`` requests carry the chunks the parent already
+    admitted; they join the child's ingress queue without a second
+    admission and are served by the same request, so that queue is
+    empty between messages.
+
     When the payload enables tracing, the child runs its own
     :class:`~repro.trace.Tracer` (component = worker id, so its span ids
     can never collide with the parent's) over a private buffer sink;
@@ -244,6 +259,7 @@ def _subprocess_worker_main(conn, payload: bytes) -> None:
         capacity_per_step=spec["capacity_per_step"],
         tracer=tracer,
     )
+    ingress = worker.server.ingress
     while True:
         try:
             message = conn.recv()
@@ -255,12 +271,11 @@ def _subprocess_worker_main(conn, payload: bytes) -> None:
             return
         clock.advance_to(now)
         try:
-            if op == "submit":
-                result = worker.submit(message[2], message[3],
-                                       trace=message[4])
-            elif op == "step":
+            if op == "step":
+                ingress.extend(message[2])
                 result = worker.step()
             elif op == "drain":
+                ingress.extend(message[2])
                 result = worker.drain()
             elif op == "end_session":
                 result = worker.end_session(message[2])
@@ -271,10 +286,11 @@ def _subprocess_worker_main(conn, payload: bytes) -> None:
                 )
             elif op == "metrics":
                 result = worker.metrics_registry()
-            elif op == "state":
-                result = (worker.queue_depth, worker.n_sessions)
+            elif op == "sessions":
+                result = worker.n_sessions
             else:
                 raise ValueError(f"unknown worker op {op!r}")
+            assert not ingress, f"{len(ingress)} chunks left queued after {op}"
         except Exception as exc:  # report, keep serving
             spans = sink.drain() if sink is not None else ()
             conn.send(("err", f"{type(exc).__name__}: {exc}", spans))
@@ -286,12 +302,27 @@ def _subprocess_worker_main(conn, payload: bytes) -> None:
 class SubprocessWorker:
     """A :class:`FleetWorker` in a spawned child process, driven by pipe.
 
-    Same surface as :class:`FleetWorker`; every method is one synchronous
-    request/response round trip.  A dead child (crash, SIGKILL, OOM)
-    surfaces as :class:`WorkerUnavailable` from whatever call touches the
+    Same surface as :class:`FleetWorker`.  Admission happens here in the
+    parent: ``submit`` admits into a local
+    :class:`~repro.serve.server.IngressQueue` (built from the same
+    ``config`` as the child's server, with its own ``MetricsRegistry``)
+    and makes no pipe call, so ``queue_depth`` is a local read too.
+    ``step`` ships up to ``capacity_per_step`` admitted chunks to the
+    child in the step request, and ``drain`` ships the rest; every other
+    method is one synchronous request/response round trip, and
+    ``metrics_registry`` merges the child's snapshot with the parent's
+    ingress metrics.
+
+    A child that dies (crash, SIGKILL, OOM) surfaces as
+    :class:`WorkerUnavailable` from the next call that touches the
     broken pipe — the router treats that exactly like an in-process
-    crash.  ``faults`` ships :class:`~repro.resilience.FaultSpec` s for
-    the child to install, so crash tests can SIGKILL it at an exact step.
+    crash.  A *silent* death is therefore seen at the next ``step``, not
+    the next ``submit``: chunks admitted in between count as delivered,
+    and failover-by-replay recovers them.  After :meth:`kill`, or once
+    the child has answered with an error (then it is SIGKILLed and
+    reaped), every call — ``submit`` included — raises at once.
+    ``faults`` ships :class:`~repro.resilience.FaultSpec` s for the child
+    to install, so crash tests can SIGKILL it at an exact step.
 
     ``trace_sink`` (optional) enables tracing in the child: the child
     runs a private tracer (``trace_sample`` sampling) and every pipe
@@ -318,6 +349,7 @@ class SubprocessWorker:
         self._heartbeat = heartbeat
         self.trace_sink = trace_sink
         self._alive = True
+        self._ingress = IngressQueue(config or ServeConfig(), MetricsRegistry())
         ctx = mp.get_context("spawn")   # fork is unsafe with threaded BLAS
         self._conn, child_conn = ctx.Pipe()
         payload = pickle.dumps({
@@ -365,19 +397,24 @@ class SubprocessWorker:
         self._proc.join(timeout=10.0)
         if self._proc.is_alive():
             self._proc.terminate()
+            self._proc.join(timeout=10.0)
+        self._conn.close()
 
     def rebind_clock(self, clock) -> None:
         """Re-point at ``clock``; the child syncs via message timestamps."""
         self.clock = clock
 
-    def _call(self, op: str, *args):
+    def _check_alive(self) -> None:
         if not self._alive:
             raise WorkerUnavailable(f"worker {self.worker_id} is dead")
+
+    def _call(self, op: str, *args):
+        self._check_alive()
         try:
             self._conn.send((op, self.clock(), *args))
             status, result, spans = self._conn.recv()
         except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
-            self._alive = False
+            self.kill()                 # reap the dead child
             raise WorkerUnavailable(
                 f"worker {self.worker_id} process died mid-{op}"
             ) from exc
@@ -386,7 +423,7 @@ class SubprocessWorker:
             # in the child before the failure.
             self.trace_sink.extend(spans)
         if status == "err":
-            self._alive = False
+            self.kill()                 # a failed replica must not linger
             raise WorkerUnavailable(
                 f"worker {self.worker_id} failed {op}: {result}"
             )
@@ -397,39 +434,44 @@ class SubprocessWorker:
 
     # ------------------------------------------------------------------
     def submit(self, job_id, samples, *, trace=None) -> SubmitResult:
-        """Enqueue one chunk in the child replica."""
-        return self._call("submit", job_id, samples, trace)
+        """Admit one chunk into the parent-side queue (no pipe call)."""
+        self._check_alive()
+        return self._ingress.admit(job_id, samples, trace)
 
     def step(self) -> list[Emission]:
-        """Serve one tick in the child replica."""
-        return self._call("step")
+        """Ship up to ``capacity_per_step`` chunks; serve one child tick."""
+        return self._call("step", self._ingress.take(self.capacity_per_step))
 
     def drain(self) -> list[Emission]:
-        """Flush the child replica."""
-        return self._call("drain")
+        """Ship every queued chunk and flush the child replica."""
+        emissions = self._call("drain", self._ingress.take())
+        self._ingress.draining = True
+        return emissions
 
     def end_session(self, job_id) -> bool:
-        """Discard one job's session state in the child."""
+        """Drop the job's queued chunks here, then its session in the child."""
+        self._ingress.drop_job(job_id)
         return self._call("end_session", job_id)
 
     def rebuild_session(self, job_id, rows, *, emit_after_index: int = -1,
                         trace=None):
         """Failover adoption in the child (rows cross the pipe once)."""
+        self._ingress.drop_job(job_id)
         return self._call(
             "rebuild_session", job_id, np.ascontiguousarray(rows),
             emit_after_index, trace,
         )
 
     def metrics_registry(self) -> MetricsRegistry:
-        """A pickled snapshot of the child's registry (not live)."""
-        return self._call("metrics")
+        """The child's registry snapshot (not live) plus parent ingress."""
+        return self._call("metrics").merge(self._ingress.metrics)
 
     @property
     def queue_depth(self) -> int:
-        """Chunks queued in the child replica."""
-        return self._call("state")[0]
+        """Chunks admitted here and not yet shipped to the child."""
+        return len(self._ingress)
 
     @property
     def n_sessions(self) -> int:
         """Sessions resident in the child replica."""
-        return self._call("state")[1]
+        return self._call("sessions")

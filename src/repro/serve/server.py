@@ -8,7 +8,9 @@ processes — because determinism is a feature here (the load generator
 replays identical fleets, tests pin exact shed counts) and an async or
 threaded front-end can wrap this core without changing its semantics.
 
-Admission control implements the two classic overload policies:
+Admission control lives in :class:`IngressQueue` (shared with the parent
+side of a subprocess fleet worker) and implements the two classic
+overload policies:
 
 * ``"shed-oldest"`` — drop the oldest queued chunk to admit the new one
   (freshness wins; stale telemetry is the least valuable).
@@ -36,7 +38,8 @@ from repro.serve.batcher import BatchCompletion, MicroBatcher
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.session import StreamSession
 
-__all__ = ["ServeConfig", "Emission", "InferenceServer", "SubmitResult"]
+__all__ = ["ServeConfig", "Emission", "IngressQueue", "InferenceServer",
+           "SubmitResult"]
 
 _ADMISSION_POLICIES = ("shed-oldest", "reject")
 
@@ -96,6 +99,79 @@ class Emission:
     latency_s: float            # window-ready to prediction-out, server clock
 
 
+class IngressQueue:
+    """Bounded ingress queue with admission control, in front of a replica.
+
+    The one implementation of admission: the draining check, the float64
+    coercion, the ``queue_capacity`` check under the configured overload
+    policy, the ``ingress.*`` counters and the ``ingress.depth`` gauge,
+    and dropping a finished job's queued chunks.  :class:`InferenceServer`
+    admits through one; so does the parent side of a
+    :class:`~repro.fleet.worker.SubprocessWorker`, which then ships the
+    admitted chunks to its child without admitting them again
+    (:meth:`extend`).  Items are ``(job_id, samples, trace)`` tuples.
+    """
+
+    def __init__(self, config: ServeConfig, metrics: MetricsRegistry):
+        self.capacity = config.queue_capacity
+        self.admission = config.admission
+        self.metrics = metrics
+        self.draining = False
+        self._items: deque[tuple[object, np.ndarray, object]] = deque()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def admit(self, job_id, samples, trace=None) -> SubmitResult:
+        """Admit one chunk under the overload policy (see ``submit``)."""
+        if self.draining:
+            self.metrics.counter("ingress.draining").inc()
+            return SubmitResult.DRAINING
+        samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+        self.metrics.counter("ingress.chunks").inc()
+        if len(self._items) >= self.capacity:
+            if self.admission == "reject":
+                self.metrics.counter("ingress.rejected").inc()
+                return SubmitResult.REJECTED
+            self._items.popleft()
+            self.metrics.counter("ingress.shed").inc()
+            self.metrics.gauge("ingress.depth").dec()
+        self._items.append((job_id, samples, trace))
+        self.metrics.counter("ingress.samples").inc(samples.shape[0])
+        self.metrics.gauge("ingress.depth").inc()
+        return SubmitResult.ACCEPTED
+
+    def extend(self, items) -> None:
+        """Enqueue chunks already admitted elsewhere: no policy, no counters."""
+        if items:
+            self._items.extend(items)
+            self.metrics.gauge("ingress.depth").inc(len(items))
+
+    def pop(self) -> tuple[object, np.ndarray, object]:
+        """Dequeue the oldest chunk."""
+        item = self._items.popleft()
+        self.metrics.gauge("ingress.depth").dec()
+        return item
+
+    def take(self, max_chunks: int | None = None) -> list:
+        """Dequeue up to ``max_chunks`` oldest chunks (None = all)."""
+        n = len(self._items)
+        if max_chunks is not None:
+            n = min(n, max_chunks)
+        return [self.pop() for _ in range(n)]
+
+    def drop_job(self, job_id) -> None:
+        """Drop every queued chunk of ``job_id`` (its session ended)."""
+        if not self._items:
+            return
+        kept = deque(item for item in self._items if item[0] != job_id)
+        dropped = len(self._items) - len(kept)
+        if dropped:
+            self._items = kept
+            self.metrics.counter("ingress.dropped_on_end").inc(dropped)
+            self.metrics.gauge("ingress.depth").dec(dropped)
+
+
 class InferenceServer:
     """Multi-tenant streaming classifier over a shared micro-batcher.
 
@@ -152,9 +228,7 @@ class InferenceServer:
             metrics=self.metrics,
         )
         self._sessions: dict[object, StreamSession] = {}
-        # (job_id, samples, trace context or None)
-        self._ingress: deque[tuple[object, np.ndarray, object]] = deque()
-        self._draining = False
+        self.ingress = IngressQueue(self.config, self.metrics)
 
     def add_tap(self, tap) -> None:
         """Attach a monitor tap (``on_ingress`` and/or ``on_batch``)."""
@@ -183,22 +257,7 @@ class InferenceServer:
         chunk; serve-stage spans attach under it once the chunk is
         processed.  A shed chunk's context is dropped with it.
         """
-        if self._draining:
-            self.metrics.counter("ingress.draining").inc()
-            return SubmitResult.DRAINING
-        samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-        self.metrics.counter("ingress.chunks").inc()
-        if len(self._ingress) >= self.config.queue_capacity:
-            if self.config.admission == "reject":
-                self.metrics.counter("ingress.rejected").inc()
-                return SubmitResult.REJECTED
-            self._ingress.popleft()
-            self.metrics.counter("ingress.shed").inc()
-            self.metrics.gauge("ingress.depth").dec()
-        self._ingress.append((job_id, samples, trace))
-        self.metrics.counter("ingress.samples").inc(samples.shape[0])
-        self.metrics.gauge("ingress.depth").inc()
-        return SubmitResult.ACCEPTED
+        return self.ingress.admit(job_id, samples, trace)
 
     # -- processing ----------------------------------------------------
     def step(self, max_chunks: int | None = None) -> list[Emission]:
@@ -214,10 +273,9 @@ class InferenceServer:
         tracer = self.tracer
         completions: list[BatchCompletion] = []
         processed = 0
-        while self._ingress and (max_chunks is None or processed < max_chunks):
-            job_id, samples, ctx = self._ingress.popleft()
+        while self.ingress and (max_chunks is None or processed < max_chunks):
+            job_id, samples, ctx = self.ingress.pop()
             processed += 1
-            self.metrics.gauge("ingress.depth").dec()
             for tap in self._ingress_taps:
                 tap.on_ingress(job_id, samples)
             session = self._session(job_id)
@@ -245,13 +303,13 @@ class InferenceServer:
         :meth:`reopen`.
         """
         emissions = self.step()
-        self._draining = True
+        self.ingress.draining = True
         emissions.extend(self._emit(self.batcher.drain()))
         return emissions
 
     def reopen(self) -> None:
         """Accept new work again after a :meth:`drain`."""
-        self._draining = False
+        self.ingress.draining = False
 
     # -- sessions ------------------------------------------------------
     def end_session(self, job_id) -> bool:
@@ -266,13 +324,7 @@ class InferenceServer:
         existed = self._sessions.pop(job_id, None) is not None
         if existed:
             self.metrics.gauge("sessions.active").dec()
-        if self._ingress:
-            kept = deque(item for item in self._ingress if item[0] != job_id)
-            dropped = len(self._ingress) - len(kept)
-            if dropped:
-                self._ingress = kept
-                self.metrics.counter("ingress.dropped_on_end").inc(dropped)
-                self.metrics.gauge("ingress.depth").dec(dropped)
+        self.ingress.drop_job(job_id)
         for tap in self._ingress_taps:
             if hasattr(tap, "end_session"):
                 tap.end_session(job_id)
@@ -344,7 +396,7 @@ class InferenceServer:
     @property
     def queue_depth(self) -> int:
         """Chunks waiting in the ingress queue."""
-        return len(self._ingress)
+        return len(self.ingress)
 
     def _session(self, job_id) -> StreamSession:
         session = self._sessions.get(job_id)

@@ -1,9 +1,13 @@
 """Subprocess worker tests: real process isolation, real SIGKILL.
 
 Kept deliberately small (few jobs, few ticks, at most one child process
-per test) — every subprocess call is a pipe round trip on a spawn-context
-child, which is slow on CI boxes.
+per test) — every subprocess step is a pipe round trip on a
+spawn-context child, which is slow on CI boxes.
 """
+
+import multiprocessing as mp
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ import pytest
 from repro.fleet import FleetRouter, FleetWorker, SubprocessWorker, WorkerUnavailable
 from repro.fleet.ring import HashRing
 from repro.resilience.faults import FaultSpec
-from repro.serve import FleetLoadGenerator, ServeConfig, SimulatedClock
+from repro.serve import FleetLoadGenerator, ServeConfig, SimulatedClock, SubmitResult
 from repro.trace import TraceQuery, TraceSink, Tracer
 from tests.stubs import ThresholdModel
 
@@ -170,3 +174,160 @@ def test_fault_spec_shipped_to_child_sigkills_it():
             worker.submit(0, np.ones((5, 7)))
     finally:
         worker.close()
+
+
+def _victim_fleet(clock, gen, **sub_kwargs):
+    """Job 0's ring owner as a subprocess, the other worker in-process."""
+    victim = HashRing(["w0", "w1"]).owner(0)
+    survivor = "w1" if victim == "w0" else "w0"
+    sub = SubprocessWorker(victim, ThresholdModel(), _config(), clock=clock,
+                           **sub_kwargs)
+    router = FleetRouter(
+        [sub, FleetWorker(survivor, ThresholdModel(), _config(), clock=clock)],
+        clock=clock, history=gen.job_stream,
+    )
+    return victim, survivor, sub, router
+
+
+def _clean_twin():
+    clock = SimulatedClock()
+    gen = _gen(clock)
+    return gen.run(FleetRouter(
+        [FleetWorker(w, ThresholdModel(), _config(), clock=clock)
+         for w in ("w0", "w1")],
+        clock=clock, history=gen.job_stream,
+    ))
+
+
+def test_silently_sigkilled_child_is_detected_at_step_with_parity():
+    clean = _clean_twin()
+    clock = SimulatedClock()
+    gen = _gen(clock)
+    victim, survivor, sub, router = _victim_fleet(clock, gen)
+
+    def on_tick(tick, emissions):
+        if tick == 1 and victim in router.worker_ids:
+            # No sub.kill(): the parent learns of the death only from
+            # the pipe, at the next step.
+            os.kill(sub.pid, signal.SIGKILL)
+
+    try:
+        report = gen.run(router, on_tick=on_tick)
+    finally:
+        for wid in router.worker_ids:
+            router.worker(wid).close()
+        sub.close()
+    assert _trace(report.emissions) == _trace(clean.emissions)
+    events = [e for e in router.events if e.kind == "failover"]
+    assert [e.worker_id for e in events] == [victim]
+    # The victim's tick-2 chunks were admitted in the parent after the
+    # death; they count as delivered, so the replay re-emits them.
+    assert events[0].n_recovered == 2
+    assert router.worker_ids == [survivor]
+
+
+def test_err_reply_fails_over_and_reaps_the_child():
+    clean = _clean_twin()
+    clock = SimulatedClock()
+    gen = _gen(clock)
+    victim, survivor, sub, router = _victim_fleet(
+        clock, gen,
+        faults=(FaultSpec("fleet.worker.crash", at_hit=2, mode="raise"),))
+    try:
+        report = gen.run(router)
+        assert [e.worker_id for e in router.events
+                if e.kind == "failover"] == [victim]
+        assert not sub._proc.is_alive()
+        assert sub._proc.exitcode is not None           # reaped
+        assert sub._proc not in mp.active_children()
+        with pytest.raises(WorkerUnavailable):
+            sub.submit(0, np.ones((5, 7)))
+    finally:
+        for wid in router.worker_ids:
+            router.worker(wid).close()
+        sub.close()
+    assert _trace(report.emissions) == _trace(clean.emissions)
+
+
+def _overload(worker, clock):
+    """Drive four jobs at twice a 2-chunk capacity; record everything."""
+    series = _series(540)
+    results, depths, emissions = [], [], []
+    for tick in range(6):
+        if tick == 3:
+            # Each policy leaves one of these jobs' chunks queued; ending
+            # the session drops it.
+            worker.end_session(1)
+            worker.end_session(3)
+        for job in range(4):
+            chunk = series[job][tick * 90: (tick + 1) * 90]
+            results.append(worker.submit(job, chunk))
+        emissions.extend(worker.step())
+        depths.append(worker.queue_depth)
+        clock.advance(10.0)
+    emissions.extend(worker.drain())
+    results.append(worker.submit(0, series[0][:90]))    # after drain
+    for job in range(4):
+        worker.end_session(job)
+    registry = worker.metrics_registry()
+    counters = {name: registry.counter(name).value for name in (
+        "ingress.chunks", "ingress.samples", "ingress.rejected",
+        "ingress.shed", "ingress.dropped_on_end", "ingress.draining")}
+    rows = [(e.job_id, e.prediction, e.latency_s) for e in emissions]
+    return results, depths, rows, counters, registry.gauge("ingress.depth").value
+
+
+@pytest.mark.parametrize("admission", ["reject", "shed-oldest"])
+def test_parent_side_admission_matches_in_process_worker(admission):
+    config = ServeConfig(window=90, hop=90, flush_deadline_s=0.0,
+                         queue_capacity=3, admission=admission)
+    in_clock = SimulatedClock()
+    expected = _overload(
+        FleetWorker("w0", ThresholdModel(), config, clock=in_clock,
+                    capacity_per_step=2), in_clock)
+    sub_clock = SimulatedClock()
+    sub = SubprocessWorker("w0", ThresholdModel(), config, clock=sub_clock,
+                           capacity_per_step=2)
+    try:
+        got = _overload(sub, sub_clock)
+    finally:
+        sub.close()
+    assert got == expected
+    results, depths, rows, counters, depth = got
+    assert SubmitResult.DRAINING in results and rows
+    assert counters["ingress.dropped_on_end"] > 0
+    assert counters["ingress.rejected" if admission == "reject"
+                    else "ingress.shed"] > 0
+    assert depth == 0
+
+
+class _CountingConn:
+    """Pipe end that records the op of every message the parent sends."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.ops = []
+
+    def send(self, message):
+        self.ops.append(message[0])
+        self._conn.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def test_replay_sends_one_pipe_message_per_tick():
+    clock = SimulatedClock()
+    gen = _gen(clock)
+    worker = SubprocessWorker("w0", ThresholdModel(), _config(), clock=clock)
+    worker._conn = conn = _CountingConn(worker._conn)
+    try:
+        report = gen.run(worker)
+        ops = list(conn.ops)
+    finally:
+        worker.close()
+    # Submits admit in the parent; only steps, the drain and the
+    # end-of-stream end_sessions cross the pipe.
+    assert ops == (["step"] * report.n_ticks + ["drain"]
+                   + ["end_session"] * gen.n_jobs)
+    assert report.n_predictions > 0
