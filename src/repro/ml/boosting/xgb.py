@@ -176,18 +176,6 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
             )
         return X
 
-    def _margins_slow(self, X: np.ndarray, n_rounds: int | None = None) -> np.ndarray:
-        """Legacy per-tree margin loop (reference for the bit-identity
-        tests in ``tests/test_perf_fastpaths.py``)."""
-        X = self._check_predict_input(X)
-        k = self.classes_.size
-        rounds = self.trees_ if n_rounds is None else self.trees_[:n_rounds]
-        margins = np.zeros((X.shape[0], k))
-        for round_trees in rounds:
-            for c, tree in enumerate(round_trees):
-                margins[:, c] += self.learning_rate * tree.predict(X)
-        return margins
-
     def _margins(
         self,
         X: np.ndarray,
@@ -203,7 +191,7 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         lr = self.learning_rate
         margins = np.zeros((X.shape[0], k))
         # Accumulate in the legacy (round, class) order: bit-identical to
-        # the per-tree loop at any n_jobs.
+        # the per-tree loop in tests/oracles/trees.py at any n_jobs.
         for rnd in range(rounds):
             for c in range(len(self.trees_[rnd])):
                 margins[:, c] += lr * value[leaves[rnd * k + c]]

@@ -124,37 +124,14 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             self._flat_ = flat
         return flat
 
-    def _expand_proba(
-        self, tree: DecisionTreeClassifier, X: np.ndarray, k: int
-    ) -> np.ndarray:
-        """Tree probabilities lifted onto the forest's full class set
-        (a bootstrap sample can miss rare classes)."""
-        proba = np.zeros((X.shape[0], k))
-        cols = np.searchsorted(self.classes_, tree.classes_)
-        proba[:, cols] = tree.predict_proba(X)
-        return proba
-
-    def _predict_proba_slow(self, X) -> np.ndarray:
-        """Legacy per-tree prediction loop.
-
-        Kept as the reference path: ``tests/test_perf_fastpaths.py`` pins
-        the vectorized path bit-identical to this implementation.
-        """
-        self._check_fitted("estimators_")
-        X = check_2d(X)
-        k = self.classes_.size
-        acc = np.zeros((X.shape[0], k))
-        for tree in self.estimators_:
-            acc += self._expand_proba(tree, X, k)
-        return acc / len(self.estimators_)
-
     def predict_proba(self, X, n_jobs: int | None = 1) -> np.ndarray:
         """Per-class probability estimates for X.
 
         All trees are traversed jointly over the flattened node arrays
         (optionally tree-parallel via ``n_jobs``); per-tree distributions
         are then accumulated in the legacy tree order, so the result is
-        bit-identical to :meth:`_predict_proba_slow` at any ``n_jobs``.
+        bit-identical to the per-tree loop in ``tests/oracles/trees.py``
+        at any ``n_jobs``.
         """
         self._check_fitted("estimators_")
         X = check_2d(X)

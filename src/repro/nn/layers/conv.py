@@ -4,16 +4,19 @@ Input layout is ``(batch, time, channels)`` — the same layout the challenge
 tensors and the LSTM use, so the paper's CNN-LSTM front end composes
 without transposes.
 
-Both layers are *fused* autograd nodes: the forward builds strided windows
-with ``sliding_window_view`` (zero-copy) and contracts them with one
-einsum/GEMM; the backward is hand-derived (see
-:class:`repro.nn.tensor.Tensor.from_op`), avoiding hundreds of small graph
-nodes per sequence.
+Each layer has one kernel, a *fused* autograd node: the forward builds
+strided windows with ``sliding_window_view`` (zero-copy) and contracts them
+with one einsum/GEMM; the backward is hand-derived (see
+:class:`repro.nn.tensor.Tensor.from_op`) and writes into per-shape scratch
+reused across batches, avoiding hundreds of small graph nodes per
+sequence.  Under :class:`~repro.nn.tensor.no_grad` the same forward
+builds no backward closure and retains no forward state (input windows,
+argmax indices, offsets), so nothing outlives the call but the output.
 
-Under :class:`~repro.nn.tensor.no_grad` both forwards take a fast path:
-no backward closure is built and no forward state (input windows, argmax
-indices, offsets) is retained, so nothing outlives the call but the output
-itself.  Fast-path outputs are bit-identical to the training forward.
+The allocating references (same contractions, same scatter order) live in
+``tests/oracles/nn.py``; ``tests/test_fused_backward.py`` and
+``tests/test_perf_fastpaths.py`` pin outputs and gradients bit-identical
+to them.
 """
 
 from __future__ import annotations
@@ -56,14 +59,10 @@ class Conv1d(Module):
 
     Weight shape is ``(C_out, C_in, K)``; output ``T' = (T − K)//stride + 1``.
 
-    With ``fused_backward`` (the default) the gradient contractions write
-    into preallocated per-shape scratch reused across batches; the
-    allocating reference is kept as :meth:`_backward_slow` and produces
-    bit-identical gradients (same einsum contractions, same scatter
-    order).  Scratch is per-process and excluded from pickling.
+    The gradient contractions write into preallocated per-shape scratch
+    reused across batches.  Scratch is per-process and excluded from
+    pickling.
     """
-
-    fused_backward: bool = True
 
     def __init__(
         self,
@@ -132,27 +131,11 @@ class Conv1d(Module):
 
         parents = (x, w) if b is None else (x, w, b)
 
-        def backward_slow(g):
-            # Allocating reference: one fresh array per gradient.
-            if w.requires_grad:
-                w._accum(np.einsum("nto,ntck->ock", g, windows, optimize=True))
-            if b is not None and b.requires_grad:
-                b._accum(g.sum(axis=(0, 1)))
-            if x.requires_grad:
-                dxw = np.einsum("nto,ock->ntck", g, w.data, optimize=True)
-                dx = np.zeros_like(x_data)
-                # For fixed k the target positions offsets+k are distinct,
-                # so fancy-index accumulation is race-free.
-                for k in range(K):
-                    dx[:, offsets + k, :] += dxw[:, :, :, k]
-                if pad:
-                    dx = dx[:, pad:-pad, :]
-                x._accum(dx)
-
-        def backward_fused(g):
-            # Same contractions and scatter order as the reference, but
-            # every gradient lands in scratch reused across batches (the
-            # engine copies on _accum, so reuse is safe).
+        def backward(g):
+            # Every gradient lands in scratch reused across batches (the
+            # engine copies on _accum, so reuse is safe).  For fixed k the
+            # scatter targets offsets+k are distinct, so fancy-index
+            # accumulation is race-free.
             s = self._bwd_scratch
             if s is None or s["key"] != x_data.shape:
                 s = self._bwd_scratch = {
@@ -180,20 +163,15 @@ class Conv1d(Module):
                     dx = dx[:, pad:-pad, :]
                 x._accum(dx)
 
-        backward = backward_fused if self.fused_backward else backward_slow
         return Tensor.from_op(out, parents, backward)
 
 
 class MaxPool1d(Module):
     """Non-overlapping (by default) temporal max pooling, channels-last.
 
-    With ``fused_backward`` (the default) the scatter target and index
-    grids live in per-shape scratch reused across batches; the allocating
-    reference is kept as the ``backward_slow`` closure (toggle
-    ``fused_backward=False``) and is bit-identical.
+    The backward's scatter target and index grids live in per-shape
+    scratch reused across batches.
     """
-
-    fused_backward: bool = True
 
     def __init__(self, kernel_size: int, stride: int | None = None):
         super().__init__()
@@ -228,17 +206,7 @@ class MaxPool1d(Module):
         n, t_out, c = out.shape
         offsets = np.arange(t_out) * stride
 
-        def backward_slow(g):
-            if not x.requires_grad:
-                return
-            dx = np.zeros_like(x.data)
-            time_idx = offsets[None, :, None] + arg  # (N, T', C)
-            n_idx = np.arange(n)[:, None, None]
-            c_idx = np.arange(c)[None, None, :]
-            np.add.at(dx, (n_idx, time_idx, c_idx), g)
-            x._accum(dx)
-
-        def backward_fused(g):
+        def backward(g):
             if not x.requires_grad:
                 return
             s = self._bwd_scratch
@@ -255,5 +223,4 @@ class MaxPool1d(Module):
             np.add.at(dx, (s["n_idx"], time_idx, s["c_idx"]), g)
             x._accum(dx)
 
-        backward = backward_fused if self.fused_backward else backward_slow
         return Tensor.from_op(out, (x,), backward)

@@ -1,4 +1,10 @@
-"""Dense (fully-connected) layer."""
+"""Dense (fully-connected) layer: one fused kernel.
+
+The layer is a single graph node whose backward writes ``dW``, ``db`` and
+``dx`` into preallocated scratch.  The per-op reference chain (reshape →
+matmul → add → reshape) lives in ``tests/oracles/nn.py``, and
+``tests/test_fused_backward.py`` pins the gradients bit-identical to it.
+"""
 
 from __future__ import annotations
 
@@ -17,15 +23,10 @@ class Linear(Module):
 
     Accepts any leading batch shape; the last axis must be ``in_features``.
 
-    With ``fused_backward`` (the default) the layer is a single graph node
-    whose backward computes ``dW = flatᵀ·g``, ``db = Σ g``, and
-    ``dx = g·Wᵀ`` directly into preallocated scratch — bit-identical to the
-    per-op chain (reshape → matmul → add → reshape) kept in
-    :meth:`_forward_slow` as the parity reference.  Scratch buffers are
+    The backward computes ``dW = flatᵀ·g``, ``db = Σ g``, and
+    ``dx = g·Wᵀ`` directly into preallocated scratch.  Scratch buffers are
     per-process and excluded from pickling.
     """
-
-    fused_backward: bool = True
 
     def __init__(
         self,
@@ -63,21 +64,9 @@ class Linear(Module):
                 f"expected last dim {self.in_features}, got {x.shape[-1]}"
             )
 
-    def _forward_slow(self, x: Tensor) -> Tensor:
-        """Per-op reference chain; gradient parity target for the fused path."""
-        flat = x.reshape(-1, self.in_features) if x.ndim != 2 else x
-        out = flat @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        if x.ndim != 2:
-            out = out.reshape(*x.shape[:-1], self.out_features)
-        return out
-
     def forward(self, x: Tensor) -> Tensor:
         """Compute the layer's output for the given input."""
         self._check_input(x)
-        if not self.fused_backward:
-            return self._forward_slow(x)
         w, b = self.weight, self.bias
         in_f, out_f = self.in_features, self.out_features
         flat = x.data.reshape(-1, in_f)

@@ -1,13 +1,17 @@
-"""Fused backward kernels: bitwise parity with the slow references.
+"""Fused backward kernels: bitwise parity with the references.
 
-Every layer with a fused backward (``Linear``, ``Conv1d``, ``MaxPool1d``,
-``LSTM``, ``BiLSTM``) keeps its pre-fusion autograd path behind
-``fused_backward = False``.  These tests pin the contract: same inputs
+Every layer with a fused kernel (``Linear``, ``Conv1d``, ``MaxPool1d``,
+``LSTM``, ``BiLSTM``) has its pre-fusion autograd path in
+``tests/oracles/nn.py``.  These tests pin the contract: same inputs
 and cotangents ⇒ *bit-identical* gradients, for hand-picked shapes and
-hypothesis-drawn ones, and a bit-identical two-epoch training run; the
-persistent gradient buffer never aliases caller arrays; and the Adam fast
-path reproduces the legacy allocating update exactly.
+hypothesis-drawn ones, past the sigmoid fast-path range, and a
+bit-identical two-epoch training run; the persistent gradient buffer never
+aliases caller arrays; and the Adam fast path reproduces the legacy
+allocating update exactly.
 """
+
+import re
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -15,19 +19,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nn.layers.conv import Conv1d, MaxPool1d
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.rnn import BiLSTM, LSTM
+from repro.nn.layers.rnn import _SIGMOID_SAFE_MAX, BiLSTM, LSTM, _gate_bound
 from repro.nn.optim.adam import Adam
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
+from tests.oracles.nn import use_reference
 
 
 def _twin_grads(make_layer, x_shape, seed):
-    """Gradients of the same layer/input under fused and slow backward."""
+    """Gradients of the same layer/input through the kernel and the oracle."""
     rng = np.random.default_rng(seed)
     x_data = rng.standard_normal(x_shape).astype(np.float32)
     out_grads = {}
     for fused in (True, False):
         layer = make_layer()
-        layer.fused_backward = fused
+        if not fused:
+            use_reference(layer)
         x = Tensor(x_data.copy(), requires_grad=True)
         out = layer(x)
         cot = np.random.default_rng(seed + 1) \
@@ -58,6 +64,11 @@ CASES = [
     ("maxpool.k3s2", lambda: MaxPool1d(3, stride=2), (4, 30, 7)),
     ("lstm", lambda: LSTM(7, 12, rng=0), (5, 17, 7)),
     ("bilstm", lambda: BiLSTM(7, 12, rng=0), (5, 17, 7)),
+    # Degenerate layouts where a reshape is a strided view, not a copy,
+    # and numpy's matmul would sum in another order: 4-column gate rows
+    # (hidden=1) and single-row, single-channel sequences.
+    ("lstm.hidden1", lambda: LSTM(3, 1, rng=0), (3, 2, 3)),
+    ("bilstm.n1_d1", lambda: BiLSTM(1, 2, rng=0), (1, 2, 1)),
 ]
 
 
@@ -90,6 +101,121 @@ class TestFusedGradientParity:
     def test_lstm_random_shapes(self, seed, batch, t, d_in, hidden, cls):
         _assert_twin_parity(
             lambda: cls(d_in, hidden, rng=seed), (batch, t, d_in), seed)
+
+
+def _scaled_x(shape, seed, scale):
+    return (np.random.default_rng(seed).standard_normal(shape) * scale) \
+        .astype(np.float32)
+
+
+def _run(layer, x_data, cot, reverse):
+    """Output, no_grad output and gradients of ``layer`` on ``x_data``."""
+    kw = {"reverse": True} if reverse else {}
+    x = Tensor(x_data.copy(), requires_grad=True)
+    out = layer(x, **kw)
+    out.backward(cot)
+    with no_grad():
+        eval_out = layer(Tensor(x_data.copy()), **kw).data
+    grads = {name: p.grad.copy() for name, p in layer.named_parameters()}
+    grads["__x__"] = x.grad.copy()
+    return out.data, eval_out, grads
+
+
+def _bounds(layer, x_data, reverse=False):
+    """``_gate_bound`` of each direction of an LSTM or BiLSTM."""
+    dirs = [(layer.fw, False), (layer.bw, True)] \
+        if isinstance(layer, BiLSTM) else [(layer, reverse)]
+    bounds = []
+    for lstm, rev in dirs:
+        xs = x_data[:, ::-1] if rev else x_data
+        zx = xs @ lstm.w_ih.data + lstm.bias.data
+        bounds.append(_gate_bound(zx, lstm.w_hh.data))
+    return bounds
+
+
+def _scale_bw(layer, name, factor):
+    getattr(layer.bw, name).data *= factor
+    return layer
+
+
+SIGMOID_CASES = [
+    # (id, make_layer, x scale, reverse, expected unsafe directions)
+    ("lstm.x100", lambda: LSTM(5, 6, rng=0), 100.0, False, [True]),
+    ("lstm.reverse.x100", lambda: LSTM(5, 6, rng=0), 100.0, True, [True]),
+    ("bilstm.both.x100", lambda: BiLSTM(5, 6, rng=0), 100.0, False,
+     [True, True]),
+    ("bilstm.bw_only.w_hh40",
+     lambda: _scale_bw(BiLSTM(5, 6, rng=0), "w_hh", 40.0), 1.0, False,
+     [False, True]),
+    # bw's inputs scaled: its gates really leave [-75, 75], so the checked
+    # sigmoid takes its piecewise branch for bw rows only.
+    ("bilstm.bw_only.w_ih100",
+     lambda: _scale_bw(BiLSTM(5, 6, rng=0), "w_ih", 100.0), 1.0, False,
+     [False, True]),
+]
+
+
+class TestSigmoidRangeFallback:
+    """Past ``_SIGMOID_SAFE_MAX`` the kernel uses the checked sigmoid per
+    direction and gate slice; outputs and gradients still match the
+    oracle bit for bit, with no overflow anywhere."""
+
+    @pytest.mark.parametrize("name,make_layer,scale,reverse,unsafe",
+                             SIGMOID_CASES, ids=[c[0] for c in SIGMOID_CASES])
+    def test_matches_oracle_past_safe_range(self, name, make_layer, scale,
+                                            reverse, unsafe):
+        x_data = _scaled_x((3, 7, 5), 0, scale)
+        cot = _scaled_x((3, 7, 6 * len(unsafe)), 1, 1.0)
+        with np.errstate(over="raise"):
+            kernel = make_layer()
+            assert [b > _SIGMOID_SAFE_MAX
+                    for b in _bounds(kernel, x_data, reverse)] == unsafe
+            out, eval_out, grads = _run(kernel, x_data, cot, reverse)
+            ref_out, ref_eval, ref_grads = _run(
+                use_reference(make_layer()), x_data, cot, reverse)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(eval_out, ref_out)
+        assert np.array_equal(ref_eval, ref_out)
+        assert grads.keys() == ref_grads.keys()
+        for key in grads:
+            assert np.array_equal(grads[key], ref_grads[key]), key
+
+
+class TestKernelGuards:
+    def test_backward_after_newer_forward_raises(self):
+        layer = LSTM(3, 4, rng=0)
+        x = Tensor(_scaled_x((2, 5, 3), 0, 1.0), requires_grad=True)
+        first = layer(x)
+        layer(x)  # reuses the training scratch the first node reads
+        with pytest.raises(RuntimeError, match="newer grad-mode forward"):
+            first.backward(np.ones(first.shape, np.float32))
+
+    def test_eval_forward_between_does_not_disturb_backward(self):
+        x_data = _scaled_x((2, 5, 3), 0, 1.0)
+        cot = np.ones((2, 5, 8), np.float32)
+        grads = []
+        for interleave in (False, True):
+            layer = BiLSTM(3, 4, rng=0)
+            x = Tensor(x_data.copy(), requires_grad=True)
+            out = layer(x)
+            if interleave:
+                with no_grad():  # its own scratch: the node stays valid
+                    layer(Tensor(_scaled_x((6, 9, 3), 1, 1.0)))
+            out.backward(cot)
+            grads.append([x.grad.copy()]
+                         + [p.grad.copy() for p in layer.parameters()])
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    @pytest.mark.parametrize("shape", [(2, 5, 6), (5, 3)], ids=["3d", "2d"])
+    def test_bilstm_rejects_bad_input_in_both_modes(self, grad, shape):
+        layer = BiLSTM(3, 4, rng=0)
+        x = Tensor(np.zeros(shape, np.float32), requires_grad=grad)
+        expected = rf"expected \(N, T, 3\), got {re.escape(str(shape))}"
+        with nullcontext() if grad else no_grad(), \
+                pytest.raises(ValueError, match=expected):
+            layer(x)
 
 
 class TestGradientBuffer:
@@ -195,9 +321,8 @@ class TestWholeModelParity:
         for fused in (True, False):
             model = LSTMClassifier(n_sensors=7, seq_len=20, n_classes=5,
                                    hidden_size=16, dropout=0.5, seed=0)
-            for m in model.modules():
-                if hasattr(m, "fused_backward"):
-                    m.fused_backward = fused
+            if not fused:
+                use_reference(model)
             trainer = Trainer(model, Adam(model.parameters(), lr=1e-3),
                               NLLLoss(), batch_size=16, max_epochs=2,
                               patience=100, shuffle_rng=0)

@@ -1,7 +1,8 @@
 """Bit-identity parity suite for the inference fast paths.
 
-Every optimisation ships with the slow reference it replaced; these tests
-pin that fast and slow produce *identical bits*, not merely close floats:
+Every optimisation has the slow reference it replaced in
+``tests/oracles/``; these tests pin that fast and slow produce *identical
+bits*, not merely close floats:
 
 * ``no_grad`` fused-kernel forwards (LSTM / BiLSTM / Conv1d / MaxPool1d),
 * the flattened joint tree traversal (forest + boosting, any ``n_jobs``),
@@ -23,6 +24,10 @@ from repro.nn.tensor import is_grad_enabled, no_grad
 from repro.serve.batcher import MicroBatcher
 from repro.serve.session import StreamSession
 from repro.simcluster.sensors import N_GPU_SENSORS
+from tests.oracles.nn import (
+    bilstm_forward, conv1d_forward, lstm_forward, maxpool1d_forward,
+)
+from tests.oracles.trees import boosting_margins, forest_predict_proba
 from tests.stubs import MeanSignModel
 
 
@@ -44,37 +49,45 @@ class TestNoGradForwardParity:
         n, t, c, h = shape
         layer = LSTM(c, h, rng=1)
         x = _x(n, t, c)
-        ref = layer(Tensor(x), reverse=reverse).data
+        ref = lstm_forward(layer, Tensor(x), reverse=reverse).data
+        train = layer(Tensor(x), reverse=reverse).data
         with no_grad():
             fast = layer(Tensor(x), reverse=reverse).data
         assert np.array_equal(ref, fast)
+        assert np.array_equal(train, fast)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_bilstm_bit_identical(self, shape):
         n, t, c, h = shape
         layer = BiLSTM(c, h, rng=2)
         x = _x(n, t, c, seed=1)
-        ref = layer(Tensor(x)).data
+        ref = bilstm_forward(layer, Tensor(x)).data
+        train = layer(Tensor(x)).data
         with no_grad():
             fast = layer(Tensor(x)).data
         assert np.array_equal(ref, fast)
+        assert np.array_equal(train, fast)
 
     @pytest.mark.parametrize("padding", ["valid", "same", 2])
     def test_conv1d_bit_identical(self, padding):
         layer = Conv1d(5, 9, kernel_size=3, padding=padding, rng=3)
         x = _x(4, 20, 5, seed=2)
-        ref = layer(Tensor(x)).data
+        ref = conv1d_forward(layer, Tensor(x)).data
+        train = layer(Tensor(x)).data
         with no_grad():
             fast = layer(Tensor(x)).data
         assert np.array_equal(ref, fast)
+        assert np.array_equal(train, fast)
 
     def test_maxpool_bit_identical(self):
         layer = MaxPool1d(3)
         x = _x(4, 21, 6, seed=3)
-        ref = layer(Tensor(x)).data
+        ref = maxpool1d_forward(layer, Tensor(x)).data
+        train = layer(Tensor(x)).data
         with no_grad():
             fast = layer(Tensor(x)).data
         assert np.array_equal(ref, fast)
+        assert np.array_equal(train, fast)
 
     def test_fast_path_builds_no_graph(self):
         layer = LSTM(4, 6, rng=4)
@@ -107,9 +120,31 @@ class TestNoGradForwardParity:
         layer = LSTM(3, 5, rng=7)
         with no_grad():
             layer(Tensor(_x(2, 6, 3)))
-        assert layer._infer_scratch is not None
+        assert layer._eval_scratch is not None
         clone = pickle.loads(pickle.dumps(layer))
-        assert clone._infer_scratch is None
+        assert clone._eval_scratch is None
+
+    @pytest.mark.parametrize("cls", [LSTM, BiLSTM], ids=["lstm", "bilstm"])
+    def test_no_grad_scratch_holds_no_bptt_caches(self, cls):
+        n, t, c, h = 2, 9, 3, 5
+        layer = cls(c, h, rng=8)
+        with no_grad():
+            layer(Tensor(_x(n, t, c)))
+        assert layer._train_scratch is None
+        s = layer._eval_scratch
+        assert not {"gates", "cells", "tanh_c", "dz"} & s.keys()
+        # Only the input and its projection span time; every step writes
+        # the same (4, R*N, H) gate buffer and the same cell.
+        timed = {k for k, v in s.items()
+                 if isinstance(v, np.ndarray) and t in v.shape}
+        assert timed == {"xs", "zx"}
+        rn = n * (2 if cls is BiLSTM else 1)
+        gates, *_views, _c_prev, cell, tanh_c = s["steps"][0]
+        assert gates.shape == (4, rn, h)
+        for step in s["steps"][1:]:
+            assert step[0] is gates
+            assert step[5] is cell and step[6] is cell
+            assert step[7] is tanh_c
 
     def test_no_grad_decorator(self):
         @no_grad()
@@ -162,7 +197,7 @@ class TestFlatForest:
 
     def test_flat_matches_slow(self, forest):
         Xt, _ = _blobs(400, 10, 6, seed=1)
-        assert np.array_equal(forest._predict_proba_slow(Xt),
+        assert np.array_equal(forest_predict_proba(forest, Xt),
                               forest.predict_proba(Xt))
 
     def test_n_jobs_bit_identical(self, forest):
@@ -201,8 +236,8 @@ class TestFlatForest:
         gb = GradientBoostingClassifier(n_estimators=5, max_depth=3,
                                         random_state=0).fit(X, y)
         Xt, yt = _blobs(150, 8, 4, seed=5)
-        assert np.array_equal(gb._margins_slow(Xt), gb._margins(Xt))
-        assert np.array_equal(gb._margins_slow(Xt, 2), gb._margins(Xt, 2))
+        assert np.array_equal(boosting_margins(gb, Xt), gb._margins(Xt))
+        assert np.array_equal(boosting_margins(gb, Xt, 2), gb._margins(Xt, 2))
         assert np.array_equal(gb._margins(Xt), gb._margins(Xt, n_jobs=2))
         # staged_accuracy accumulates the same margins round by round
         staged = gb.staged_accuracy(Xt, yt)
