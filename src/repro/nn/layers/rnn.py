@@ -189,7 +189,7 @@ def _fused_seq_forward(x: Tensor, dirs, host: Module) -> Tensor:
     if x.ndim != 3 or x.shape[2] != D:
         raise ValueError(f"expected (N, T, {D}), got {x.shape}")
     R = len(dirs)
-    N, T, _D = x.shape
+    N, T = x.shape[:2]
     grad = is_grad_enabled()
     s = _seq_scratch(host, grad, R, N, T, H, D)
     xs, zx = s["xs"], s["zx"]
