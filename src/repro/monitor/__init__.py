@@ -9,8 +9,10 @@ remediation — so that layer is first-class here, not a notebook.
 
 * :class:`SensorDriftDetector` / :class:`FleetDriftMonitor` — streaming
   per-sensor drift detection (reference-window z-tests on mean and
-  covariance features + Page–Hinkley), bounded state per stream, one
-  array pass per ingress chunk, attached to a server as an ingress tap.
+  covariance features + Page–Hinkley), bounded state per stream,
+  attached to a server as an ingress tap that takes a whole serving
+  step's chunks in one call and scans every session's Page–Hinkley
+  detectors in one pass.
 * :class:`ShadowEvaluator` — replays every served micro-batch through a
   challenger model; champion/challenger agreement and
   disagreement-by-class, attached as a batch tap.

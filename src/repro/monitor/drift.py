@@ -20,13 +20,16 @@ detectors, both with bounded state and both exactly deterministic:
   false-positive rate is controlled by ``ph_delta``/``ph_threshold``
   (expected excursion probability ``~exp(-2·delta·threshold)``).
 
-Telemetry arrives in chunks (one ingress chunk per job per serving tick),
-and the cost is paid per chunk: a few array operations over the chunk's
-rows for the rolling sums, the Page–Hinkley cumulants and the window
-tests, which run only at the rows where they fall due.  The one
-sequential step is the Page–Hinkley running mean, a scalar loop per
-sensor.  Events and state are bit-identical however a stream is split
-into chunks, down to one row at a time.
+Telemetry arrives in chunks (one ingress chunk per job per serving tick)
+and is consumed a serving step at a time: :meth:`FleetDriftMonitor.on_ingress`
+takes every chunk a step popped.  Rolling sums, Page–Hinkley cumulants
+and window tests are a few array operations over each session's rows;
+the window tests run only at the rows where they fall due.  The one
+sequential step is the Page–Hinkley running mean, a row loop run once
+per step across the detectors of every session, each row one
+elementwise update.  Events and state are bit-identical however a
+stream is split into chunks, down to one row at a time, and however
+sessions are grouped into steps.
 """
 
 from __future__ import annotations
@@ -156,69 +159,76 @@ class PageHinkley:
 
     def update(self, x: float) -> bool:
         """Consume one value; True when a change is detected (then resets)."""
-        return bool(_page_hinkley_scan([self], np.array([[x]], np.float64)))
+        return bool(_page_hinkley_scan(
+            [self], np.array([[x]], np.float64), np.ones(1, np.intp)))
 
 
 def _page_hinkley_scan(detectors: list[PageHinkley], z: np.ndarray,
-                       first_row: int = 0) -> list[tuple[int, int, float]]:
-    """Feed column ``c`` of the ``(k, len(detectors))`` array ``z``, in
-    row order, to ``detectors[c]``; returns ``(row, c, statistic)`` per
+                       lengths: np.ndarray) -> list[tuple[int, int, float]]:
+    """Feed rows ``[0, lengths[c])`` of column ``c`` of ``z``, in row
+    order, to ``detectors[c]``; returns ``(row, c, statistic)`` per
     firing.
 
-    The running mean is the one sequential recurrence, kept as a scalar
-    Python-float loop per column.  Cumulants and extrema then follow from
-    ``accumulate`` over the whole chunk, and the threshold test is one
-    mask.  A firing resets only its own detector, which is re-scanned from
-    the next row.  Every value is computed by the same float operations,
-    in the same order, as one scalar update per sample, so the result does
-    not depend on how a stream is split into calls.
+    Every column advances together.  The running mean is the one
+    sequential recurrence: a loop over rows, each row one elementwise
+    update across all columns.  Cumulants and extrema then follow from
+    ``accumulate`` over the whole block, and the threshold test is one
+    mask; rows past a column's end are masked out.  A firing resets only
+    its own detector; the columns that fired are rescanned together from
+    the row after their firing, until none fires.  Every value is
+    computed by the same IEEE float64 operations, in the same order, as
+    one scalar update per sample, so the result does not depend on how a
+    stream is split into calls or which columns share one.
     """
-    k = z.shape[0]
-    if k == 0:
-        return []
-    means = []
-    for c, det in enumerate(detectors):
-        n, mean, column = det._n, det._mean, []
-        for x in z[:, c].tolist():
-            n += 1
-            mean += (x - mean) / n
-            column.append(mean)
-        means.append(column)
-    dev = z - np.array(means).T
-    (cum_up, cum_down, min_up, max_down, delta, threshold, min_samples,
-     n0) = np.array([(d._cum_up, d._cum_down, d._min_up, d._max_down,
-                      d.delta, d.threshold, d.min_samples, d._n)
-                     for d in detectors]).T
-    # Row 0 of each running value holds the state before the chunk.
-    steps = np.empty((k + 1, 2, len(detectors)))
-    steps[0] = cum_up, cum_down
-    steps[1:, 0] = dev - delta
-    steps[1:, 1] = dev + delta
-    cum = np.add.accumulate(steps)
-    up, down = cum[:, 0], cum[:, 1]
-    steps[0] = min_up, max_down
-    steps[1:] = cum[1:]
-    min_up = np.minimum.accumulate(steps[:, 0])
-    max_down = np.maximum.accumulate(steps[:, 1])
-    stat = np.maximum(up - min_up, max_down - down)
-    n = n0 + np.arange(k + 1)[:, None]
-    fire = (n >= min_samples) & (stat > threshold)
-    fire[0] = False
     fired = []
-    for c, det in enumerate(detectors):
-        if not fire[:, c].any():
-            det._n = int(n[-1, c])
-            det._mean = means[c][-1]
-            det._cum_up = float(up[-1, c])
-            det._min_up = float(min_up[-1, c])
-            det._cum_down = float(down[-1, c])
-            det._max_down = float(max_down[-1, c])
-            continue
-        row = int(fire[:, c].argmax())
-        fired.append((first_row + row - 1, c, float(stat[row, c])))
-        det.reset()
-        fired.extend((r, c, s) for r, _, s in _page_hinkley_scan(
-            [det], z[row:, c:c + 1], first_row + row))
+    cols = np.flatnonzero(lengths)
+    start = np.zeros(cols.size, np.intp)      # first row of each column
+    while cols.size:
+        dets = [detectors[c] for c in cols]
+        k = lengths[cols] - start
+        r = int(k.max())
+        ahead = np.arange(r + 1)[:, None]
+        x = z[np.minimum(start + ahead[:-1], z.shape[0] - 1), cols]
+        (n0, mean, cum_up, cum_down, min_up, max_down, delta, threshold,
+         min_samples) = np.array([
+             (d._n, d._mean, d._cum_up, d._cum_down, d._min_up, d._max_down,
+              d.delta, d.threshold, d.min_samples) for d in dets]).T
+        n = n0 + ahead                         # row 0: the state before
+        means = np.empty_like(x)
+        for xi, ni, out in zip(x, n[1:], means):
+            mean = np.add(mean, (xi - mean) / ni, out=out)
+        dev = x - means
+        steps = np.empty((r + 1, 2, cols.size))
+        steps[0] = cum_up, cum_down
+        steps[1:, 0] = dev - delta
+        steps[1:, 1] = dev + delta
+        cum = np.add.accumulate(steps)
+        up, down = cum[:, 0], cum[:, 1]
+        steps[0] = min_up, max_down
+        steps[1:] = cum[1:]
+        min_up = np.minimum.accumulate(steps[:, 0])
+        max_down = np.maximum.accumulate(steps[:, 1])
+        stat = np.maximum(up - min_up, max_down - down)
+        fire = (n >= min_samples) & (stat > threshold) & (ahead <= k)
+        fire[0] = False
+        hit = fire.any(axis=0)
+        row = np.where(hit, fire.argmax(axis=0), k)   # last row consumed
+        at = row, np.arange(cols.size)
+        final = np.stack((n[at], means[row - 1, at[1]], up[at], down[at],
+                          min_up[at], max_down[at]), axis=1).tolist()
+        for det, h, (n_end, *state) in zip(dets, hit.tolist(), final):
+            if h:
+                det.reset()
+            else:
+                det._n = int(n_end)
+                (det._mean, det._cum_up, det._cum_down, det._min_up,
+                 det._max_down) = state
+        fired.extend(zip((start + row - 1)[hit].tolist(), cols[hit].tolist(),
+                         stat[at][hit].tolist()))
+        start = (start + row)[hit]
+        cols = cols[hit]
+        more = start < lengths[cols]
+        cols, start = cols[more], start[more]
     return fired
 
 
@@ -231,23 +241,83 @@ def _cov_feature_names() -> list[str]:
     ]
 
 
-#: Rows per detection pass; longer chunks are split so that transient
-#: arrays stay bounded (the result does not depend on the split).
+#: Rows per session per detection pass; longer chunks are split so that
+#: transient arrays stay bounded (the result does not depend on the split).
 _MAX_CHUNK = 4096
+
+
+def _as_rows(rows) -> np.ndarray:
+    """``rows`` as a float64 ``(k, 7)`` array; ValueError for other shapes."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != N_GPU_SENSORS:
+        raise ValueError(
+            f"expected (k, {N_GPU_SENSORS}) rows, got shape {rows.shape}"
+        )
+    return rows
+
+
+def _update_sessions(detectors: list, chunks: list) -> list[list[DriftEvent]]:
+    """Feed the ``(k, 7)`` float64 ``chunks[i]`` to ``detectors[i]``;
+    returns each detector's events.
+
+    Warm-up, reference freezing, rolling sums and window tests run per
+    detector.  The Page–Hinkley scan runs once per pass over the
+    ``(rows, 7·sessions)`` block of every live detector's residuals.  A
+    pass takes at most ``_MAX_CHUNK`` rows of each session, so a session
+    with more rows takes part in successive passes.
+    """
+    events: list[list[DriftEvent]] = [[] for _ in detectors]
+    live = []
+    for i, (det, rows) in enumerate(zip(detectors, chunks)):
+        rows, first = det._skip_and_reference(rows)
+        if rows.shape[0]:
+            live.append((i, det, rows, first))
+    lo = 0
+    while live:
+        passes = [(i, det, rows[lo:lo + _MAX_CHUNK], first + lo)
+                  for i, det, rows, first in live]
+        z = np.zeros((max(p[2].shape[0] for p in passes),
+                      N_GPU_SENSORS * len(passes)))
+        lengths = np.empty(z.shape[1], np.intp)
+        candidates = []
+        for s, (_, det, rows, _) in enumerate(passes):
+            cols = slice(N_GPU_SENSORS * s, N_GPU_SENSORS * (s + 1))
+            residuals, found = det._window_pass(rows)
+            z[:rows.shape[0], cols] = residuals
+            lengths[cols] = rows.shape[0]
+            candidates.append(found)
+        detectors_ph = [ph for _, det, _, _ in passes for ph in det._ph]
+        for row, c, stat in _page_hinkley_scan(detectors_ph, z, lengths):
+            s, sensor = divmod(c, N_GPU_SENSORS)
+            det = passes[s][1]
+            # (row, kind rank, index) sorts PH before mean before
+            # covariance at one row, the order the per-row detector
+            # emitted them in.
+            candidates[s].append((row, 0, sensor, det._sensor_names[sensor],
+                                  "page_hinkley", stat,
+                                  det.config.ph_threshold))
+        for (i, det, _, first), found in zip(passes, candidates):
+            events[i].extend(det._fire_sorted(found, first))
+        lo += _MAX_CHUNK
+        live = [entry for entry in live if entry[2].shape[0] > lo]
+    return events
 
 
 class SensorDriftDetector:
     """Per-stream drift detector over ``(k, 7)`` telemetry chunks.
 
     Feed rows with :meth:`update_many` (or one at a time with
-    :meth:`update`, which is the same call on a one-row chunk).  A chunk
-    costs a few array operations over its ``k`` rows plus one scalar loop
-    per sensor for the Page–Hinkley running mean, the only sequential
-    step.  Events and state are bit-identical however a stream is split
-    into chunks.  The detector holds O(window) bounded state — nothing
-    grows with stream length (pinned by the memory test).  The first
-    ``reference`` samples only build the reference distribution;
-    detection starts once the rolling window has filled past it.
+    :meth:`update`, which is the same call on a one-row chunk); a
+    :class:`FleetDriftMonitor` feeds many detectors in one call.  A chunk
+    costs a few array operations over its ``k`` rows plus the
+    Page–Hinkley running mean, a loop over its rows, each row one
+    elementwise update across the seven sensors (and across every
+    session of a fleet call).  Events and state are bit-identical however
+    a stream is split into chunks.  The detector holds O(window) bounded
+    state — nothing grows with stream length (pinned by the memory
+    test).  The first ``reference`` samples only build the reference
+    distribution; detection starts once the rolling window has filled
+    past it.
     """
 
     def __init__(self, session_id: object = None,
@@ -321,30 +391,26 @@ class SensorDriftDetector:
 
     def update_many(self, rows) -> list[DriftEvent]:
         """Consume ``(k, 7)`` rows in time order; returns the events fired."""
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != N_GPU_SENSORS:
-            raise ValueError(
-                f"expected (k, {N_GPU_SENSORS}) rows, got shape {rows.shape}"
-            )
+        return _update_sessions([self], [_as_rows(rows)])[0]
+
+    # -- internals -----------------------------------------------------
+    def _skip_and_reference(self, rows: np.ndarray) -> tuple[np.ndarray, int]:
+        """Count ``rows``, drop the warm-up and collect the reference;
+        returns the rows left for detection and the sample index of the
+        first of them."""
         start = self.n_seen
         self.n_seen += rows.shape[0]
         skip = max(self.config.warmup - start, 0)
         rows, first = rows[skip:], start + skip + 1   # sample index of rows[0]
-        if rows.shape[0] == 0:
-            return []
-        if self._ref_rows is not None:
+        if self._ref_rows is not None and rows.shape[0]:
             need = self.config.reference - sum(map(len, self._ref_rows))
             self._ref_rows.append(rows[:need].copy())
             if rows.shape[0] < need:
-                return []
+                return rows[:0], first
             self._freeze_reference()
             rows, first = rows[need:], first + need
-        out: list[DriftEvent] = []
-        for lo in range(0, rows.shape[0], _MAX_CHUNK):
-            out.extend(self._detect(rows[lo:lo + _MAX_CHUNK], first + lo))
-        return out
+        return rows, first
 
-    # -- internals -----------------------------------------------------
     def _freeze_reference(self) -> None:
         cfg = self.config
         ref = np.concatenate(self._ref_rows)
@@ -402,9 +468,10 @@ class SensorDriftDetector:
         self._ph_scale = np.maximum(self._ref_std, mean_floor)
         self._ph_gain = np.sqrt(self._n_eff_factor)
 
-    def _detect(self, rows: np.ndarray, first: int) -> list[DriftEvent]:
-        """Run the live detectors over ``rows``; ``first`` is the sample
-        index of ``rows[0]``."""
+    def _window_pass(self, rows: np.ndarray) -> tuple[np.ndarray, list]:
+        """Advance the rolling window over live ``rows``; returns their
+        standardized Page–Hinkley residuals and the window z-test
+        candidates that fell due."""
         cfg = self.config
         k, held = rows.shape[0], self._rows.shape[0]
         iu0, iu1 = self._iu
@@ -432,17 +499,6 @@ class SensorDriftDetector:
         self._sum_prod = sums[-1, N_GPU_SENSORS:].copy()
         self._rows = buf[-cfg.window:].copy()
 
-        # Page–Hinkley on standardized residuals (autocorrelation-deflated
-        # so cumulative excursions stay in long-run sigma units), one
-        # detector per sensor.
-        z_rows = centred[held:] / self._ph_scale * self._ph_gain
-        # Candidates sort by (row, kind, index): PH, then mean, then
-        # covariance, the order the per-row detector emitted them in.
-        candidates = [
-            (row, 0, i, self._sensor_names[i], "page_hinkley", stat,
-             cfg.ph_threshold)
-            for row, i, stat in _page_hinkley_scan(self._ph, z_rows)
-        ]
         # Window z-tests every check_every samples once the window filled:
         # only the rows where a test falls due are evaluated.
         start = max(cfg.window - held - 1,
@@ -450,8 +506,16 @@ class SensorDriftDetector:
         due = np.arange(start, k, cfg.check_every)
         self._since_check = (k - 1 - int(due[-1]) if due.size
                              else self._since_check + k)
-        if due.size:
-            candidates.extend(self._check_windows(due, sums[due]))
+        candidates = self._check_windows(due, sums[due]) if due.size else []
+        # Page–Hinkley runs on standardized residuals (autocorrelation-
+        # deflated so cumulative excursions stay in long-run sigma units),
+        # one detector per sensor.
+        return centred[held:] / self._ph_scale * self._ph_gain, candidates
+
+    def _fire_sorted(self, candidates: list, first: int) -> list[DriftEvent]:
+        """Fire ``(row, kind rank, index, sensor, kind, statistic,
+        threshold)`` candidates in sorted order; ``first`` is the sample
+        index of row 0."""
         out: list[DriftEvent] = []
         for row, _, _, sensor, kind, statistic, threshold in sorted(
                 candidates):
@@ -512,10 +576,11 @@ class FleetDriftMonitor:
     """Server ingress tap fanning one :class:`SensorDriftDetector` per job.
 
     Attach to an :class:`~repro.serve.server.InferenceServer` via
-    ``taps=[monitor]``: every chunk leaving the ingress queue updates that
-    job's detector.  State is O(window) per active session and is freed by
-    :meth:`end_session`; recent events are kept in a bounded deque while
-    counts and first-detection positions are scalars per session.
+    ``taps=[monitor]``: each serving step hands the monitor every chunk
+    it popped, and each job's detector takes that job's rows.  State is
+    O(window) per active session and is freed by :meth:`end_session`;
+    recent events are kept in a bounded deque while counts and
+    first-detection positions are scalars per session.
     """
 
     config: DriftConfig = field(default_factory=DriftConfig)
@@ -530,21 +595,40 @@ class FleetDriftMonitor:
     def __post_init__(self):
         self._recent = deque(maxlen=self.max_recent)
 
-    def on_ingress(self, job_id, samples) -> None:
-        """Server tap: update ``job_id``'s detector with a telemetry chunk."""
-        detector = self._detectors.get(job_id)
-        if detector is None:
-            detector = SensorDriftDetector(job_id, self.config)
-            self._detectors[job_id] = detector
-            self._seen.add(job_id)
-        events = detector.update_many(samples)
-        if events:
-            self.n_events += len(events)
-            self._recent.extend(events)
-            self._first_detection.setdefault(job_id, events[0].sample_index)
-        if self.metrics is not None:
+    def on_ingress(self, chunks) -> None:
+        """Server tap: update the detectors with one step's ingress.
+
+        ``chunks`` is the step's ``(job_id, samples)`` pairs in pop order.
+        A job's chunks are joined in order (a detector's result does not
+        depend on how its stream is split), and one Page–Hinkley scan
+        covers every session.  Every chunk is checked before any detector
+        is created or updated, so a malformed one changes nothing.
+        """
+        by_job: dict = {}
+        for job_id, samples in chunks:
+            by_job.setdefault(job_id, []).append(_as_rows(samples))
+        detectors = []
+        for job_id in by_job:
+            detector = self._detectors.get(job_id)
+            if detector is None:
+                detector = SensorDriftDetector(job_id, self.config)
+                self._detectors[job_id] = detector
+                self._seen.add(job_id)
+            detectors.append(detector)
+        rows = [parts[0] if len(parts) == 1 else np.concatenate(parts)
+                for parts in by_job.values()]
+        n_new = 0
+        for job_id, events in zip(by_job,
+                                  _update_sessions(detectors, rows)):
             if events:
-                self.metrics.counter("monitor.drift.events").inc(len(events))
+                n_new += len(events)
+                self._recent.extend(events)
+                self._first_detection.setdefault(job_id,
+                                                 events[0].sample_index)
+        self.n_events += n_new
+        if self.metrics is not None:
+            if n_new:
+                self.metrics.counter("monitor.drift.events").inc(n_new)
             self.metrics.gauge("monitor.drift.sessions_drifted").set(
                 len(self._first_detection))
             self.metrics.gauge("monitor.drift.drifted_fraction").set(

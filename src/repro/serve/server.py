@@ -37,6 +37,7 @@ from repro.core.streaming import StreamPrediction
 from repro.serve.batcher import BatchCompletion, MicroBatcher
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.session import StreamSession
+from repro.simcluster.sensors import N_GPU_SENSORS
 
 __all__ = ["ServeConfig", "Emission", "IngressQueue", "InferenceServer",
            "SubmitResult"]
@@ -102,11 +103,12 @@ class Emission:
 class IngressQueue:
     """Bounded ingress queue with admission control, in front of a replica.
 
-    The one implementation of admission: the draining check, the float64
-    coercion, the ``queue_capacity`` check under the configured overload
-    policy, the ``ingress.*`` counters and the ``ingress.depth`` gauge,
-    and dropping a finished job's queued chunks.  :class:`InferenceServer`
-    admits through one; so does the parent side of a
+    The one implementation of admission: the float64 coercion and
+    ``(k, 7)`` shape check, the draining check, the ``queue_capacity``
+    check under the configured overload policy, the ``ingress.*``
+    counters and the ``ingress.depth`` gauge, and dropping a finished
+    job's queued chunks.  :class:`InferenceServer` admits through one;
+    so does the parent side of a
     :class:`~repro.fleet.worker.SubprocessWorker`, which then ships the
     admitted chunks to its child without admitting them again
     (:meth:`extend`).  Items are ``(job_id, samples, trace)`` tuples.
@@ -124,10 +126,15 @@ class IngressQueue:
 
     def admit(self, job_id, samples, trace=None) -> SubmitResult:
         """Admit one chunk under the overload policy (see ``submit``)."""
+        samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+        if samples.ndim != 2 or samples.shape[1] != N_GPU_SENSORS:
+            raise ValueError(
+                f"expected a (k, {N_GPU_SENSORS}) telemetry chunk, got "
+                f"shape {samples.shape}"
+            )
         if self.draining:
             self.metrics.counter("ingress.draining").inc()
             return SubmitResult.DRAINING
-        samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         self.metrics.counter("ingress.chunks").inc()
         if len(self._items) >= self.capacity:
             if self.admission == "reject":
@@ -190,10 +197,11 @@ class InferenceServer:
     taps:
         Monitor taps (see :mod:`repro.monitor`): objects that observe
         traffic without affecting it.  A tap may implement
-        ``on_ingress(job_id, samples)`` — called for every chunk as it
-        leaves the ingress queue — and/or ``on_batch(completions)`` —
-        called with each non-empty list of classified windows before
-        they are folded back into sessions.
+        ``on_ingress(chunks)`` — called once per :meth:`step` that popped
+        any ingress, with the step's ``(job_id, samples)`` chunks in pop
+        order — and/or ``on_batch(completions)`` — called with each
+        non-empty list of classified windows before they are folded back
+        into sessions.
     tracer:
         Optional :class:`~repro.trace.Tracer`.  When set, chunks
         submitted with a trace context get per-stage spans (``ingest``,
@@ -236,7 +244,7 @@ class InferenceServer:
         has_batch = hasattr(tap, "on_batch")
         if not (has_ingress or has_batch):
             raise TypeError(
-                "tap must implement on_ingress(job_id, samples) and/or "
+                "tap must implement on_ingress(chunks) and/or "
                 "on_batch(completions)"
             )
         if has_ingress:
@@ -255,7 +263,8 @@ class InferenceServer:
         — a router should fail the chunk over rather than retry here).
         ``trace`` (a trace context or None) rides the queue with the
         chunk; serve-stage spans attach under it once the chunk is
-        processed.  A shed chunk's context is dropped with it.
+        processed.  A shed chunk's context is dropped with it.  A chunk
+        that is not ``(k, 7)`` raises ``ValueError`` and changes nothing.
         """
         return self.ingress.admit(job_id, samples, trace)
 
@@ -272,12 +281,15 @@ class InferenceServer:
         now = self.clock()
         tracer = self.tracer
         completions: list[BatchCompletion] = []
+        # The chunks handed to the ingress taps; built only when one is
+        # attached.
+        popped = [] if self._ingress_taps else None
         processed = 0
         while self.ingress and (max_chunks is None or processed < max_chunks):
             job_id, samples, ctx = self.ingress.pop()
             processed += 1
-            for tap in self._ingress_taps:
-                tap.on_ingress(job_id, samples)
+            if popped is not None:
+                popped.append((job_id, samples))
             session = self._session(job_id)
             if ctx is not None and tracer is not None:
                 ingest_ctx = tracer.child(ctx)
@@ -293,6 +305,9 @@ class InferenceServer:
                 requests = session.push(samples, now_s=now)
             for request in requests:
                 completions.extend(self.batcher.submit(request))
+        if popped:
+            for tap in self._ingress_taps:
+                tap.on_ingress(popped)
         completions.extend(self.batcher.poll())
         return self._emit(completions)
 

@@ -4,7 +4,9 @@
 chunk in a few array operations; :mod:`tests.oracles.drift` holds the
 per-row detector it replaced.  For every way of splitting a stream into
 chunks, the two must emit the same events (floats compared by ``==``)
-and hold the same state after every chunk.
+and hold the same state after every chunk.  The same holds for
+:class:`repro.monitor.FleetDriftMonitor`, which scans every session of a
+serving step at once, against one oracle detector per session.
 """
 
 from collections import Counter
@@ -16,9 +18,11 @@ from hypothesis import given, settings, strategies as st
 from repro.monitor import (
     DriftConfig,
     DriftInjection,
+    FleetDriftMonitor,
     SensorDriftDetector,
     inject_series,
 )
+from repro.monitor.drift import _MAX_CHUNK
 from tests.oracles.drift import SensorDriftDetector as OracleDetector
 from tests.test_monitor import _stationary
 
@@ -153,6 +157,101 @@ class TestOracleParity:
             lo = hi
         np.testing.assert_array_equal(
             fast._rows, np.asarray(oracle._rows).reshape(-1, 7))
+
+
+def _fleet_parity(config, steps, ends=None):
+    """Feed each step's ``(job, rows)`` chunks to a FleetDriftMonitor in
+    one call, and each chunk to its job's oracle row by row; compare
+    every session's new events and state after every step.  ``ends``
+    maps a step index to the jobs whose session ends after it.  Returns
+    the oracle events in step order."""
+    monitor = FleetDriftMonitor(config=config, max_recent=10**6)
+    oracles = {}
+    expected = []
+    for t, step in enumerate(steps):
+        seen = len(monitor.recent_events())
+        monitor.on_ingress(step)
+        got = {}
+        for event in monitor.recent_events()[seen:]:
+            got.setdefault(event.session_id, []).append(event)
+        want = {}
+        for job, rows in step:
+            oracle = oracles.setdefault(job, OracleDetector(job, config))
+            want.setdefault(job, []).extend(oracle.update_many(rows))
+        assert got == {job: ev for job, ev in want.items() if ev}, t
+        expected.extend(e for ev in want.values() for e in ev)
+        assert monitor._detectors.keys() == oracles.keys()
+        for job, oracle in oracles.items():
+            assert _state(monitor._detectors[job]) == _state(oracle), (t, job)
+        for job in (ends or {}).get(t, ()):
+            assert monitor.end_session(job)
+            del oracles[job]
+    return expected
+
+
+#: One fleet replay: sessions that start at a later step, feed ragged
+#: rows per step and may end their session after their last chunk.  One
+#: job's first chunk is split in two around the other jobs' chunks of that
+#: step; ``long`` gives a session one step longer than a detection pass.
+FLEET_CASE = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**16),
+    "sensitive": st.booleans(),
+    "sessions": st.lists(
+        st.fixed_dictionaries({
+            "start": st.integers(0, 3),
+            "sizes": st.lists(st.integers(1, 400), min_size=1, max_size=6),
+            "ends": st.booleans(),
+        }),
+        min_size=1, max_size=5),
+    "split": st.integers(1, 399),
+    "long": st.booleans(),
+})
+
+
+def _fleet_schedule(case):
+    sessions = case["sessions"]
+    sizes = [list(s["sizes"]) for s in sessions]
+    if case["long"]:
+        sizes[-1][-1] = _MAX_CHUNK + 300
+    streams = [_drifting(sum(rows), case["seed"] + j)
+               for j, rows in enumerate(sizes)]
+    offsets = [0] * len(sessions)
+    steps, ends, split = [], {}, case["split"]
+    for t in range(max(s["start"] + len(r) for s, r in zip(sessions, sizes))):
+        step = []
+        for j, (session, rows) in enumerate(zip(sessions, sizes)):
+            i = t - session["start"]
+            if not 0 <= i < len(rows):
+                continue
+            step.append((j, streams[j][offsets[j]:offsets[j] + rows[i]]))
+            offsets[j] += rows[i]
+            if session["ends"] and i == len(rows) - 1:
+                ends.setdefault(t, []).append(j)
+        if step and split < len(step[0][1]):
+            job, rows = step[0]
+            step = [(job, rows[:split]), *step[1:], (job, rows[split:])]
+            split = float("inf")    # split one chunk only
+        steps.append(step)
+    return steps, ends
+
+
+class TestFleetParity:
+    @settings(max_examples=20, deadline=None)
+    @given(FLEET_CASE)
+    def test_per_step_scan_matches_one_oracle_per_session(self, case):
+        # warmup=50 and reference=270 put the warm-up and reference
+        # boundaries inside a step whenever a step's rows straddle them.
+        config = SENSITIVE if case["sensitive"] else DriftConfig(warmup=50)
+        _fleet_parity(config, *_fleet_schedule(case))
+
+    def test_benchmark_release_in_serving_ticks(self, release_streams):
+        steps = [[(job, stream[t:t + 90])
+                  for job, stream in enumerate(release_streams)]
+                 for t in range(0, 1350, 90)]
+        events = _fleet_parity(DriftConfig(), steps)
+        assert len(events) == 1023
+        assert Counter(e.kind for e in events) == {
+            "mean": 599, "page_hinkley": 315, "covariance": 109}
 
 
 class TestChunkInput:

@@ -76,6 +76,16 @@ class TestRouting:
         assert sum(per_worker.values()) == 12
         assert router.n_sessions == 12
 
+    def test_malformed_chunk_refused_before_routing(self):
+        clock = SimulatedClock()
+        router = _fleet(2, clock)
+        with pytest.raises(ValueError, match="telemetry chunk"):
+            router.submit("bad", np.zeros((12, 3)))
+        assert router.submit("ok", np.ones((90, 7))) is SubmitResult.ACCEPTED
+        assert len(router.step()) == 1
+        assert router.n_sessions == 1
+        assert router.metrics.counter("fleet.chunks.routed").value == 1
+
     def test_router_drives_like_a_single_server(self):
         clock = SimulatedClock()
         gen = _gen(clock)

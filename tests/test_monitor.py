@@ -159,10 +159,9 @@ class TestFleetDriftMonitor:
     def _drive(self, monitor, streams, chunk=90):
         n = max(len(s) for s in streams)
         for start in range(0, n, chunk):
-            for job, s in enumerate(streams):
-                piece = s[start:start + chunk]
-                if len(piece):
-                    monitor.on_ingress(job, piece)
+            monitor.on_ingress([(job, s[start:start + chunk])
+                                for job, s in enumerate(streams)
+                                if len(s) > start])
 
     def test_tracks_sessions_and_detections(self):
         inj = DriftInjection(start_sample=1200, ramp_samples=270,
@@ -200,11 +199,53 @@ class TestFleetDriftMonitor:
 
     def test_end_session_frees_detector_keeps_history(self):
         monitor = FleetDriftMonitor()
-        monitor.on_ingress("a", _stationary(600, seed=0))
+        monitor.on_ingress([("a", _stationary(600, seed=0))])
         assert monitor.n_sessions == 1
         assert monitor.end_session("a")
         assert not monitor.end_session("a")
         assert monitor.n_sessions == 0
+
+    def test_gauges_track_the_fleet_view_after_every_call(self):
+        inj = DriftInjection(start_sample=600, ramp_samples=90,
+                             gain=1.8, sensors=(0,))
+        streams = [inject_series(_stationary(1800, seed=s), inj)
+                   for s in range(3)] + [_stationary(1800, seed=3)]
+        metrics = MetricsRegistry()
+        monitor = FleetDriftMonitor(config=DriftConfig(horizon=180),
+                                    metrics=metrics)
+        views = set()
+        for start in range(0, 1800, 90):
+            # Sessions start and end mid-stream.
+            live = [(job, s[start:start + 90])
+                    for job, s in enumerate(streams)
+                    if (job != 3 or start >= 450)
+                    and (job != 0 or start < 1350)]
+            monitor.on_ingress(live)
+            if start == 1350:
+                monitor.end_session(0)
+            snap = metrics.as_dict()
+            view = (len(monitor.first_detections()), monitor.drifted_fraction,
+                    monitor.drifting_fraction)
+            assert (snap["monitor.drift.sessions_drifted"],
+                    snap["monitor.drift.drifted_fraction"],
+                    snap["monitor.drift.drifting_fraction"]) == view
+            views.add(view)
+        assert len(views) > 2                  # the view actually moved
+        assert snap["monitor.drift.events"] == monitor.n_events > 0
+
+    @pytest.mark.parametrize("bad", [np.zeros((12, 3)), np.zeros(7),
+                                     np.zeros((2, 3, 7))])
+    def test_malformed_chunk_changes_nothing(self, bad):
+        monitor = FleetDriftMonitor()
+        monitor.on_ingress([("a", _stationary(300, seed=0))])
+        before = monitor.n_sessions, monitor.drifted_fraction
+        with pytest.raises(ValueError, match="rows"):
+            monitor.on_ingress([("a", _stationary(90, seed=1)),
+                                ("new", _stationary(90, seed=2)),
+                                ("bad", bad)])
+        assert (monitor.n_sessions, monitor.drifted_fraction) == before
+        assert set(monitor._detectors) == monitor._seen == {"a"}
+        assert monitor._detectors["a"].n_seen == 300
 
     def test_detection_latencies_exclude_pre_start_firings(self):
         monitor = FleetDriftMonitor()

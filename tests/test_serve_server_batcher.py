@@ -144,6 +144,21 @@ class TestInferenceServer:
         # "a"'s chunk never reached its session; b and c got theirs.
         assert server.n_sessions == 2
 
+    @pytest.mark.parametrize("shape", [(12, 3), (2, 3, 7), (7, 0)])
+    def test_malformed_chunk_refused_at_submit(self, shape):
+        # It used to be admitted, then abort the next step midway through
+        # its pop loop with the rest of the queue left behind.
+        server, _ = self._server()
+        server.submit("a", _series(10))
+        with pytest.raises(ValueError, match="telemetry chunk"):
+            server.submit("bad", np.zeros(shape))
+        assert server.queue_depth == 1
+        assert server.metrics.counter("ingress.chunks").value == 1
+        assert server.metrics.counter("ingress.samples").value == 10
+        server.submit("b", _series(10, seed=1))
+        server.step()
+        assert server.queue_depth == 0 and server.n_sessions == 2
+
     def test_reject_policy_returns_false(self):
         server, _ = self._server(queue_capacity=1, admission="reject")
         assert server.submit("a", _series(5))
@@ -413,8 +428,9 @@ class _RecordingTap:
         self.batches = []
         self.ended = []
 
-    def on_ingress(self, job_id, samples):
-        self.ingress.append((job_id, samples.shape))
+    def on_ingress(self, chunks):
+        self.ingress.append([(job_id, samples.shape)
+                             for job_id, samples in chunks])
 
     def on_batch(self, completions):
         self.batches.append(len(completions))
@@ -437,7 +453,7 @@ class TestServerTaps:
         server.submit("job", _series(20, seed=1))
         emissions = server.step()
         assert emissions                     # traffic actually flowed
-        assert tap.ingress == [("job", (20, 7))]
+        assert tap.ingress == [[("job", (20, 7))]]
         assert sum(tap.batches) == len(emissions)
         server.end_session("job")
         server.end_session("job")            # idempotent notify
@@ -445,12 +461,28 @@ class TestServerTaps:
 
     def test_ingress_only_tap_accepted(self):
         class _IngressOnly:
-            def on_ingress(self, job_id, samples):
+            def on_ingress(self, chunks):
                 pass
 
         server, _ = self._server(_IngressOnly())
         server.submit("j", _series(12, seed=2))
         assert server.step() is not None
+
+    def test_one_ingress_call_per_step_in_pop_order(self):
+        tap = _RecordingTap()
+        server, _ = self._server(tap)
+        for job, n in (("b", 3), ("a", 4), ("b", 5), ("c", 6)):
+            server.submit(job, _series(n, seed=n))
+        server.step()
+        assert tap.ingress == [[("b", (3, 7)), ("a", (4, 7)), ("b", (5, 7)),
+                                ("c", (6, 7))]]
+        server.step()                        # nothing queued: no call
+        assert len(tap.ingress) == 1
+        server.submit("a", _series(2, seed=9))
+        server.step(max_chunks=0)            # bounded to nothing: no call
+        assert len(tap.ingress) == 1
+        server.step()
+        assert tap.ingress[1:] == [[("a", (2, 7))]]
 
     def test_tap_without_hooks_rejected(self):
         with pytest.raises(TypeError, match="on_ingress"):
