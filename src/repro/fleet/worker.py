@@ -290,7 +290,9 @@ def _subprocess_worker_main(conn, payload: bytes) -> None:
                 result = worker.n_sessions
             else:
                 raise ValueError(f"unknown worker op {op!r}")
-            assert not ingress, f"{len(ingress)} chunks left queued after {op}"
+            if ingress:
+                raise RuntimeError(
+                    f"{len(ingress)} chunks left queued after {op}")
         except Exception as exc:  # report, keep serving
             spans = sink.drain() if sink is not None else ()
             conn.send(("err", f"{type(exc).__name__}: {exc}", spans))

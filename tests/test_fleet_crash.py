@@ -331,3 +331,43 @@ def test_replay_sends_one_pipe_message_per_tick():
     assert ops == (["step"] * report.n_ticks + ["drain"]
                    + ["end_session"] * gen.n_jobs)
     assert report.n_predictions > 0
+
+
+_LEFT_QUEUED_PROBE = """
+import sys
+import numpy as np
+from repro.fleet import SubprocessWorker, WorkerUnavailable
+from repro.serve import ServeConfig, SimulatedClock
+from tests.stubs import ThresholdModel
+
+worker = SubprocessWorker(
+    "w0", ThresholdModel(), ServeConfig(window=90, hop=90, flush_deadline_s=0.0),
+    clock=SimulatedClock(), capacity_per_step=1)
+chunk = np.ones((90, 7))
+try:
+    # Ship two chunks to a child that serves one per step.
+    worker._call("step", [(0, chunk, None), (1, chunk, None)])
+except WorkerUnavailable as exc:
+    print("optimize", sys.flags.optimize, "alive", worker._proc.is_alive(),
+          "|", exc)
+else:
+    print("no error")
+worker.close()
+"""
+
+
+def test_child_left_queued_check_survives_python_O():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root)]))
+    out = subprocess.run([sys.executable, "-O", "-c", _LEFT_QUEUED_PROBE],
+                         cwd=root, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == (
+        "optimize 1 alive False | worker w0 failed step: "
+        "RuntimeError: 1 chunks left queued after step")

@@ -71,3 +71,31 @@ def test_walk_flags_each_banned_form():
         "_forward_slow", "backward_slow", "fused_backward",
         "fused_backward", "predict_slow",
     ]
+
+
+# ``python -O`` strips ``assert`` statements, so an invariant written as
+# one silently stops being checked.  Production code raises instead.
+def _asserts(tree: ast.AST, path: Path) -> list[str]:
+    rel = path.relative_to(SRC.parent)
+    return [f"{rel}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_statements_in_src():
+    offences = []
+    for path in sorted(SRC.rglob("*.py")):
+        offences += _asserts(ast.parse(path.read_text(), str(path)), path)
+    assert offences == [], "raise explicitly instead of assert:\n" + \
+        "\n".join(offences)
+
+
+def test_assert_walk_flags_nested_asserts():
+    snippet = (
+        "assert x\n"
+        "def f():\n"
+        "    while True:\n"
+        "        assert not queue, 'left queued'\n"
+        "msg = 'assert in a string is fine'\n"
+    )
+    assert _asserts(ast.parse(snippet), SRC / "snippet.py") == [
+        "repro/snippet.py:1", "repro/snippet.py:4"]
