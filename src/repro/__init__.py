@@ -41,11 +41,35 @@ Subpackages
     zero-copy reads, deterministic replay, compaction.
 ``repro.parallel``
     Process-pool map and shared-memory arrays.
+
+The top-level exports resolve lazily (PEP 562): ``import repro`` loads
+none of the subpackages, so a spawned child that imports only
+``repro.fleet.worker`` never pays for the simulator, scipy or the
+challenge harness.  ``from repro import SimulationConfig`` imports the
+defining module on first access.
 """
 
-from repro.core.challenge import WorkloadClassificationChallenge
-from repro.simcluster.cluster import SimulationConfig
+import importlib
 
 __version__ = "1.0.0"
 
 __all__ = ["WorkloadClassificationChallenge", "SimulationConfig", "__version__"]
+
+# Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "WorkloadClassificationChallenge": "repro.core.challenge",
+    "SimulationConfig": "repro.simcluster.cluster",
+}
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -4,17 +4,14 @@
 evaluation protocol (test accuracy on held-out trials), a submission
 scorer with a leaderboard, and harnesses that run the paper's baseline
 models end-to-end.
+
+The exports resolve lazily (PEP 562): importing one submodule, such as
+``repro.core.streaming`` in a serving child, does not import the others,
+so the baselines, models and nn stack load only when a name that needs
+them is first read.
 """
 
-from repro.core.challenge import WorkloadClassificationChallenge
-from repro.core.evaluation import Submission, evaluate_predictions, evaluate_model
-from repro.core.leaderboard import Leaderboard, LeaderboardEntry
-from repro.core.baselines import (
-    run_rnn_baseline,
-    run_traditional_baseline,
-    run_xgboost_baseline,
-)
-from repro.core.streaming import OnlineWorkloadClassifier, StreamPrediction
+import importlib
 
 __all__ = [
     "WorkloadClassificationChallenge",
@@ -29,3 +26,31 @@ __all__ = [
     "OnlineWorkloadClassifier",
     "StreamPrediction",
 ]
+
+# Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "WorkloadClassificationChallenge": "repro.core.challenge",
+    "Submission": "repro.core.evaluation",
+    "evaluate_predictions": "repro.core.evaluation",
+    "evaluate_model": "repro.core.evaluation",
+    "Leaderboard": "repro.core.leaderboard",
+    "LeaderboardEntry": "repro.core.leaderboard",
+    "run_traditional_baseline": "repro.core.baselines",
+    "run_xgboost_baseline": "repro.core.baselines",
+    "run_rnn_baseline": "repro.core.baselines",
+    "OnlineWorkloadClassifier": "repro.core.streaming",
+    "StreamPrediction": "repro.core.streaming",
+}
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.simcluster.sensors import GPU_SENSORS, gpu_sensor_index
 from repro.simcluster.signatures import SignatureParams
@@ -61,6 +60,8 @@ def _first_order(target: np.ndarray, dt: float, tau: float, y0: float) -> np.nda
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    from scipy.signal import lfilter  # imported here: serving never simulates
+
     alpha = 1.0 - np.exp(-dt / tau)
     b = [alpha]
     a = [1.0, -(1.0 - alpha)]

@@ -21,7 +21,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.simcluster.architectures import ArchitectureSpec
 from repro.simcluster.gpu import GpuModel
@@ -82,6 +81,8 @@ def _ar1_noise(n: int, std: float, corr: float, rng: np.random.Generator) -> np.
     """Temporally correlated (AR(1)) noise with stationary std ``std``."""
     if std <= 0:
         return np.zeros(n)
+    from scipy.signal import lfilter  # imported here: serving never simulates
+
     white = rng.normal(0.0, std * np.sqrt(1.0 - corr**2), size=n)
     out = lfilter([1.0], [1.0, -corr], white)
     return out

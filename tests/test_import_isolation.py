@@ -1,0 +1,83 @@
+"""A spawned child imports only what it runs.
+
+Every ``spawn`` child (fleet worker, trainer pool worker) starts a fresh
+interpreter and pays for each module its entry point pulls in.  These
+tests start such an interpreter, run what the child runs, and check that
+the heavy packages it never uses stay out of ``sys.modules``: scipy
+(the simulator filters and PCA import it at their use sites) and the
+subpackages that ``repro`` and ``repro.core`` export lazily.
+
+A structural check, not a timing gate.
+"""
+
+import json
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+
+import repro
+from repro.models import make_rf_cov
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
+
+
+def _loaded_after(code: str, watched: list[str], cwd) -> list[str]:
+    """Run ``code`` in a fresh interpreter; return the ``watched``
+    packages present in its ``sys.modules`` afterwards."""
+    probe = textwrap.dedent(code) + textwrap.dedent(f"""
+        import json, sys
+        watched = {watched!r}
+        print(json.dumps(sorted(
+            w for w in watched
+            if any(m == w or m.startswith(w + ".") for m in sys.modules))))
+    """)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_fleet_worker_child_serves_rf_cov_without_heavy_imports(tmp_path):
+    rng = np.random.default_rng(0)
+    X = rng.random((12, 90, 7))
+    model = make_rf_cov(n_estimators=3).fit(X, np.arange(12) % 3)
+    path = tmp_path / "rf_cov.pkl"
+    path.write_bytes(pickle.dumps(model))
+    expected = int(model.predict(X[:1])[0])
+
+    watched = ["scipy", "repro.nn", "repro.data", "repro.models",
+               "repro.store"]
+    loaded = _loaded_after(f"""
+        import pickle
+        import numpy as np
+        import repro.fleet.worker
+        model = pickle.loads(open({str(path)!r}, "rb").read())
+        X = np.random.default_rng(0).random((12, 90, 7))
+        assert int(model.predict(X[:1])[0]) == {expected}
+    """, watched, tmp_path)
+    assert loaded == []
+
+
+def test_trainer_pool_child_skips_scipy_and_the_simulator(tmp_path):
+    watched = ["scipy", "repro.data", "repro.simcluster.cluster"]
+    loaded = _loaded_after("import repro.nn.training.parallel\n",
+                           watched, tmp_path)
+    assert loaded == []
+
+
+def test_import_repro_loads_no_subpackage_exports(tmp_path):
+    watched = ["scipy", "repro.core.challenge"]
+    assert _loaded_after("import repro\n", watched, tmp_path) == []
+
+
+def test_probe_sees_a_loaded_package(tmp_path):
+    # Guards the probe itself: a watched package that is imported shows up.
+    loaded = _loaded_after("from repro import SimulationConfig\n",
+                           ["scipy", "repro.simcluster.cluster"], tmp_path)
+    assert loaded == ["repro.simcluster.cluster"]
