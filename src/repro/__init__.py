@@ -40,7 +40,8 @@ Subpackages
     Crash-safe sharded telemetry store: WAL + mmap segment files,
     zero-copy reads, deterministic replay, compaction.
 ``repro.parallel``
-    Process-pool map and shared-memory arrays.
+    Order-preserving process-pool map for grid search and
+    cross-validation.
 
 The top-level exports resolve lazily (PEP 562): ``import repro`` loads
 none of the subpackages, so a spawned child that imports only

@@ -49,10 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                                          "as npz archives here")
     p_sim.add_argument("--csv-dir", help="export scheduler log + telemetry "
                                          "CSVs here")
-    p_sim.add_argument("--n-jobs", type=int, default=1,
-                       help="worker processes for job generation "
-                            "(-1 = all cores; output is bit-identical "
-                            "to serial)")
     p_sim.add_argument("--store-dir",
                        help="archive every generated GPU series into a "
                             "crash-safe telemetry store at this path")
@@ -179,8 +175,7 @@ def _cmd_simulate(args) -> int:
     if args.store_dir:
         from repro.store import TelemetryStore
         store = TelemetryStore(args.store_dir)
-    jobs, log = ClusterSimulator(config).generate(n_jobs=args.n_jobs,
-                                                  store=store)
+    jobs, log = ClusterSimulator(config).generate(store=store)
     labelled = trials_from_jobs(jobs)
     print(f"simulated {len(jobs)} jobs -> {len(labelled)} labelled GPU series")
     if store is not None:

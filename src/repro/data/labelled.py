@@ -27,15 +27,11 @@ def trials_from_jobs(jobs: list[SimulatedJob]) -> LabelledDataset:
 
 def build_labelled_dataset(
     config: SimulationConfig | None = None,
-    n_jobs: int | None = 1,
 ) -> LabelledDataset:
     """Run the cluster simulator and return the labelled release.
 
     This is the synthetic stand-in for downloading the ~2 GB labelled
-    portion of the MIT Supercloud Dataset.  ``n_jobs > 1`` generates
-    jobs in parallel processes; the release is bit-identical to serial
-    generation for a fixed config seed.
+    portion of the MIT Supercloud Dataset.
     """
-    simulator = ClusterSimulator(config)
-    jobs, _log = simulator.generate(n_jobs=n_jobs)
+    jobs, _log = ClusterSimulator(config).generate()
     return trials_from_jobs(jobs)

@@ -177,41 +177,32 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         return X
 
     def _margins(
-        self,
-        X: np.ndarray,
-        n_rounds: int | None = None,
-        n_jobs: int | None = 1,
+        self, X: np.ndarray, n_rounds: int | None = None
     ) -> np.ndarray:
         X = self._check_predict_input(X)
         k = self.classes_.size
         rounds = len(self.trees_) if n_rounds is None else min(n_rounds, len(self.trees_))
         flat = self._flat()
-        leaves = flat.leaf_indices(X, n_jobs=n_jobs)
+        leaves = flat.leaf_indices(X)
         value = flat.value_
         lr = self.learning_rate
         margins = np.zeros((X.shape[0], k))
         # Accumulate in the legacy (round, class) order: bit-identical to
-        # the per-tree loop in tests/oracles/trees.py at any n_jobs.
+        # the per-tree loop in tests/oracles/trees.py.
         for rnd in range(rounds):
             for c in range(len(self.trees_[rnd])):
                 margins[:, c] += lr * value[leaves[rnd * k + c]]
         return margins
 
-    def predict_proba(
-        self, X, n_rounds: int | None = None, n_jobs: int | None = 1
-    ) -> np.ndarray:
+    def predict_proba(self, X, n_rounds: int | None = None) -> np.ndarray:
         """Per-class probability estimates for X."""
-        return softmax_proba(self._margins(X, n_rounds, n_jobs=n_jobs))
+        return softmax_proba(self._margins(X, n_rounds))
 
-    def predict(
-        self, X, n_rounds: int | None = None, n_jobs: int | None = 1
-    ) -> np.ndarray:
+    def predict(self, X, n_rounds: int | None = None) -> np.ndarray:
         """Predict class labels for X."""
-        return self.classes_[
-            np.argmax(self._margins(X, n_rounds, n_jobs=n_jobs), axis=1)
-        ]
+        return self.classes_[np.argmax(self._margins(X, n_rounds), axis=1)]
 
-    def staged_accuracy(self, X, y, n_jobs: int | None = 1) -> np.ndarray:
+    def staged_accuracy(self, X, y) -> np.ndarray:
         """Test accuracy after each boosting round (plateau curves).
 
         All trees are traversed jointly once; the per-round loop only
@@ -223,7 +214,7 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         y_idx = np.searchsorted(self.classes_, y)
         k = self.classes_.size
         flat = self._flat()
-        leaves = flat.leaf_indices(X, n_jobs=n_jobs)
+        leaves = flat.leaf_indices(X)
         value = flat.value_
         lr = self.learning_rate
         margins = np.zeros((X.shape[0], k))

@@ -124,14 +124,13 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             self._flat_ = flat
         return flat
 
-    def predict_proba(self, X, n_jobs: int | None = 1) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         """Per-class probability estimates for X.
 
-        All trees are traversed jointly over the flattened node arrays
-        (optionally tree-parallel via ``n_jobs``); per-tree distributions
-        are then accumulated in the legacy tree order, so the result is
-        bit-identical to the per-tree loop in ``tests/oracles/trees.py``
-        at any ``n_jobs``.
+        All trees are traversed jointly over the flattened node arrays;
+        per-tree distributions are then accumulated in the legacy tree
+        order, so the result is bit-identical to the per-tree loop in
+        ``tests/oracles/trees.py``.
         """
         self._check_fitted("estimators_")
         X = check_2d(X)
@@ -141,7 +140,7 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
                 f"{self.n_features_in_}"
             )
         flat = self._flat()
-        leaves = flat.leaf_indices(X, n_jobs=n_jobs)
+        leaves = flat.leaf_indices(X)
         acc = np.zeros((X.shape[0], self.classes_.size))
         value = flat.value_
         for t in range(flat.n_trees):
@@ -149,9 +148,9 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         acc /= flat.n_trees
         return acc
 
-    def predict(self, X, n_jobs: int | None = 1) -> np.ndarray:
+    def predict(self, X) -> np.ndarray:
         """Predict class labels for X."""
-        return self.classes_[np.argmax(self.predict_proba(X, n_jobs=n_jobs), axis=1)]
+        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
     @property
     def feature_importances_(self) -> np.ndarray:

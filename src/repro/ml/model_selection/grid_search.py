@@ -1,9 +1,10 @@
 """Exhaustive grid search with cross-validation.
 
-Serial by default; pass ``n_jobs > 1`` to fan candidate × fold evaluations
-out over a process pool (:mod:`repro.parallel`).  Results are identical
-either way because every evaluation is a pure function of (estimator
-params, fold indices).
+Serial by default; ``n_jobs`` fans candidate × fold evaluations out over
+a process pool (:func:`repro.parallel.parallel_map`, which runs inline at
+one job; ``-1`` uses all cores).  Results are identical at any job count
+because every evaluation is a pure function of (estimator params, fold
+indices).
 """
 
 from __future__ import annotations
@@ -80,28 +81,25 @@ def cross_val_score(
 ) -> np.ndarray:
     """Per-fold validation accuracies of one estimator configuration.
 
-    ``n_jobs > 1`` fans the folds out over a process pool
-    (:mod:`repro.parallel`); scores are identical either way because each
-    fold is a pure function of (params, fold indices).
+    ``n_jobs`` fans the folds out over a process pool (``-1`` = all
+    cores); scores are identical at any job count because each fold is a
+    pure function of (params, fold indices).
     """
+    # Imported here, not at module top: a serving child that unpickles
+    # an ml pipeline never loads the process pool.
+    from repro.parallel import parallel_map
+
     splitter = StratifiedKFold(cv) if isinstance(cv, int) else cv
     params = params or {}
     X = np.asarray(X)
     y = np.asarray(y)
     folds = list(splitter.split(X, y))
-    if n_jobs > 1:
-        from repro.parallel import parallel_map
-
-        scores = parallel_map(
-            _GridTask(estimator, X, y),
-            [(0, fi, params, tr, va) for fi, (tr, va) in enumerate(folds)],
-            n_jobs=n_jobs,
-        )
-        return np.array(scores)
-    return np.array(
-        [_fit_score_one(estimator, params, X, y, tr, va)
-         for tr, va in folds]
+    scores = parallel_map(
+        _GridTask(estimator, X, y),
+        [(0, fi, params, tr, va) for fi, (tr, va) in enumerate(folds)],
+        n_jobs=n_jobs,
     )
+    return np.array(scores)
 
 
 class GridSearchCV(BaseEstimator, ClassifierMixin):
@@ -137,6 +135,8 @@ class GridSearchCV(BaseEstimator, ClassifierMixin):
 
     def fit(self, X, y) -> "GridSearchCV":
         """Fit to training data; returns self."""
+        from repro.parallel import parallel_map
+
         X = np.asarray(X)
         y = np.asarray(y)
         candidates = list(ParameterGrid(self.param_grid))
@@ -151,24 +151,13 @@ class GridSearchCV(BaseEstimator, ClassifierMixin):
             for fi, (tr, va) in enumerate(folds)
         ]
         scores = np.zeros((len(candidates), len(folds)))
-
-        if self.n_jobs > 1:
-            from repro.parallel import parallel_map
-
-            results = parallel_map(
-                _GridTask(self.estimator, X, y),
-                [(ci, fi, params, tr, va) for ci, fi, params, tr, va in tasks],
-                n_jobs=self.n_jobs,
-            )
-            for (ci, fi, params, *_), score in zip(tasks, results):
-                scores[ci, fi] = score
-                if self.verbose:
-                    print(f"[grid] cand {ci} fold {fi}: {scores[ci, fi]:.4f} {params}")
-        else:
-            for ci, fi, params, tr, va in tasks:
-                scores[ci, fi] = _fit_score_one(self.estimator, params, X, y, tr, va)
-                if self.verbose:
-                    print(f"[grid] cand {ci} fold {fi}: {scores[ci, fi]:.4f} {params}")
+        results = parallel_map(
+            _GridTask(self.estimator, X, y), tasks, n_jobs=self.n_jobs
+        )
+        for (ci, fi, params, *_), score in zip(tasks, results):
+            scores[ci, fi] = score
+            if self.verbose:
+                print(f"[grid] cand {ci} fold {fi}: {score:.4f} {params}")
 
         mean = scores.mean(axis=1)
         best = int(np.argmax(mean))

@@ -20,18 +20,11 @@ per-tree ``searchsorted`` remap at predict time disappears), regression
 trees is left to the caller, which adds per-tree contributions in the
 same order as the legacy loop — keeping ensemble predictions bit-identical
 to the per-tree path (pinned by ``tests/test_perf_fastpaths.py``).
-
-``leaf_indices`` optionally fans the traversal out over trees with
-:func:`repro.parallel.parallel_map`.  Workers return integer leaf indices
-only; the (order-sensitive) float accumulation always happens serially in
-the parent, so ``n_jobs > 1`` changes wall-clock, never bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.parallel import effective_n_jobs, parallel_map
 
 __all__ = ["FlatForest"]
 
@@ -146,41 +139,27 @@ class FlatForest:
         return self.roots_.shape[0]
 
     # ------------------------------------------------------------------
-    def leaf_indices(self, X: np.ndarray, n_jobs: int | None = 1) -> np.ndarray:
-        """Absolute leaf node index per (tree, row): shape ``(n_trees, n)``.
-
-        Per row chunk the joint frontier advances one level per iteration —
-        a handful of NumPy gathers per *tree depth*, not per tree.  With
-        ``n_jobs > 1`` the traversal is sharded tree-wise across processes;
-        the returned indices are identical either way.
-        """
-        jobs = effective_n_jobs(n_jobs)
-        if jobs > 1 and self.n_trees > 1:
-            shards = np.array_split(np.arange(self.n_trees), min(jobs, self.n_trees))
-            parts = parallel_map(
-                _LeafShardWorker(self, X), [s for s in shards if s.size],
-                n_jobs=jobs, chunksize=1,
-            )
-            return np.concatenate(parts, axis=0)
-        return self._leaf_indices_serial(np.arange(self.n_trees), X)
-
     # Row-chunk size: keeps the X gather working set (chunk × features
     # float64) L2-resident, which measures ~2x faster than one giant
     # frontier at fleet-scale query counts.
     _CHUNK = 2048
 
-    def _leaf_indices_serial(self, tree_idx: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def leaf_indices(self, X: np.ndarray) -> np.ndarray:
+        """Absolute leaf node index per (tree, row): shape ``(n_trees, n)``.
+
+        Per row chunk the joint frontier advances one level per iteration —
+        a handful of NumPy gathers per *tree depth*, not per tree.
+        """
         n = X.shape[0]
-        t = tree_idx.shape[0]
-        depths = self.depth_[tree_idx]
+        depths = self.depth_
         threshold, fsafe = self.threshold_, self._feature_safe_
         lnext, rnext = self._left_next_, self._right_next_
-        out = np.empty((t, n), dtype=np.int64)
+        out = np.empty((self.n_trees, n), dtype=np.int64)
         # Group trees by depth so each group's level loop runs exactly its
         # own depth (no absorbed spinning past shallow trees' leaves).
         for d in np.unique(depths):
             sel = np.flatnonzero(depths == d)
-            roots = self.roots_[tree_idx[sel]]
+            roots = self.roots_[sel]
             g = sel.shape[0]
             for s in range(0, n, self._CHUNK):
                 e = min(s + self._CHUNK, n)
@@ -198,13 +177,3 @@ class FlatForest:
                 out[sel, s:e] = nodes.reshape(g, m)
         return out
 
-
-class _LeafShardWorker:
-    """Picklable tree-shard traversal (closures can't cross processes)."""
-
-    def __init__(self, flat: FlatForest, X: np.ndarray):
-        self.flat = flat
-        self.X = X
-
-    def __call__(self, tree_idx: np.ndarray) -> np.ndarray:
-        return self.flat._leaf_indices_serial(tree_idx, self.X)

@@ -7,14 +7,12 @@ from repro.nn.training.checkpoint import (
     restore_forward_rng_states,
     save_checkpoint,
 )
-from repro.nn.training.parallel import GradientWorkerPool
 from repro.nn.training.trainer import EpochStats, Trainer, TrainingHistory
 
 __all__ = [
     "Trainer",
     "TrainingHistory",
     "EpochStats",
-    "GradientWorkerPool",
     "TrainingCheckpoint",
     "save_checkpoint",
     "load_checkpoint",

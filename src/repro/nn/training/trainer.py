@@ -12,13 +12,6 @@ every ``checkpoint_every`` epochs, and :meth:`Trainer.resume` continues a
 killed run to a history **bit-identical** (wall-clock timing aside) to an
 uninterrupted one — every RNG consumed by the loop is captured and
 restored, so the first post-resume shuffle and dropout mask match exactly.
-
-With ``n_jobs > 1`` (or an explicit ``shard_size``) each mini-batch is
-split into fixed-size shards whose gradients are computed by the
-shared-memory worker pool in :mod:`repro.nn.training.parallel` and reduced
-in shard order; the loss/accuracy trajectory then depends only on
-``shard_size``, never on ``n_jobs`` — ``n_jobs=4`` reproduces ``n_jobs=1``
-bit-for-bit, and checkpoint/resume keeps working unchanged.
 """
 
 from __future__ import annotations
@@ -38,14 +31,6 @@ from repro.nn.training.checkpoint import (
     load_checkpoint,
     restore_forward_rng_states,
     save_checkpoint,
-)
-from repro.nn.training.parallel import (
-    GradientWorkerPool,
-    flatten_grads,
-    param_layout,
-    reduce_flat_grads,
-    scatter_flat_grads,
-    shard_rngs,
 )
 from repro.resilience.faults import fault_point
 from repro.utils.rng import as_generator
@@ -128,25 +113,6 @@ class Trainer:
     The model must map a ``(N, T, D)`` input tensor to ``(N, K)``
     log-probabilities, and ``loss_fn(log_probs, targets)`` must return a
     scalar :class:`Tensor`.
-
-    Data-parallel training
-    ----------------------
-    ``n_jobs > 1`` computes shard gradients on persistent worker processes
-    over shared memory (see :mod:`repro.nn.training.parallel`); the
-    optimizer step stays in the parent.  Each batch is cut into
-    ``shard_size``-sample shards (default ``ceil(batch_size / n_jobs)``),
-    the shard losses ``backward(n_s / B)``-scale their gradients, and the
-    parent reduces shard gradients **in shard order** with serial float32
-    adds — so the trajectory is a pure function of ``shard_size`` and
-    reproduces bit-for-bit at any ``n_jobs`` (pin ``shard_size`` when
-    comparing worker counts).  ``n_jobs=1`` with an explicit ``shard_size``
-    runs the identical sharded computation in-process.  For a
-    dropout-free model, one shard per batch (``shard_size >= batch_size``)
-    is bit-identical to the classic unsharded loop; stochastic layers draw
-    per-shard streams derived from their own generators, so sharded runs
-    remain checkpoint/resume-exact but use different masks than unsharded
-    ones.  Call :meth:`close` (or use the trainer as a context manager)
-    to stop the worker pool.
     """
 
     def __init__(
@@ -161,16 +127,9 @@ class Trainer:
         grad_clip: float = 5.0,
         shuffle_rng: int | np.random.Generator | None = 0,
         verbose: bool = False,
-        n_jobs: int = 1,
-        shard_size: int | None = None,
-        worker_faults: list | None = None,
     ):
         if batch_size < 1 or max_epochs < 1 or patience < 1:
             raise ValueError("batch_size, max_epochs and patience must be >= 1")
-        if n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        if shard_size is not None and shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {shard_size}")
         self.model = model
         self.optimizer = optimizer
         self.loss_fn = loss_fn
@@ -181,44 +140,6 @@ class Trainer:
         self.grad_clip = grad_clip
         self.shuffle_rng = as_generator(shuffle_rng)
         self.verbose = verbose
-        self.n_jobs = n_jobs
-        self.shard_size = shard_size
-        self.worker_faults = list(worker_faults) if worker_faults else None
-        self._pool: GradientWorkerPool | None = None
-
-    # ------------------------------------------------------------------
-    @property
-    def _sharded(self) -> bool:
-        return self.n_jobs > 1 or self.shard_size is not None
-
-    def _effective_shard_size(self) -> int:
-        if self.shard_size is not None:
-            return self.shard_size
-        return -(-self.batch_size // self.n_jobs)
-
-    def _ensure_pool(self) -> GradientWorkerPool:
-        if self._pool is None:
-            max_shards = -(-self.batch_size // self._effective_shard_size())
-            self._pool = GradientWorkerPool(
-                self.model,
-                self.loss_fn,
-                n_workers=self.n_jobs,
-                max_shards=max_shards,
-                worker_faults=self.worker_faults,
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Stop the gradient worker pool (no-op when none is running)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "Trainer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     def predict_log_probs(self, X: np.ndarray) -> np.ndarray:
@@ -367,9 +288,6 @@ class Trainer:
     ) -> TrainingHistory:
         """The epoch loop shared by :meth:`fit` and :meth:`resume`."""
         n = X_train.shape[0]
-        ctx = None
-        if self._sharded:
-            ctx = self._sharded_context(X_train, y_train)
         for epoch in range(start_epoch, self.max_epochs + 1):
             if stale >= self.patience:  # resumed past the stopping epoch
                 break
@@ -381,12 +299,6 @@ class Trainer:
             for start in range(0, n, self.batch_size):
                 fault_point("trainer.mid_epoch")
                 idx = order[start : start + self.batch_size]
-                if ctx is not None:
-                    total_loss += self._sharded_step(
-                        X_train, y_train, idx, ctx
-                    )
-                    n_batches += 1
-                    continue
                 xb = Tensor(X_train[idx])
                 log_probs = self.model(xb)
                 loss = self.loss_fn(log_probs, y_train[idx])
@@ -439,95 +351,6 @@ class Trainer:
         return history
 
     # ------------------------------------------------------------------
-    def _sharded_context(self, X_train: np.ndarray, y_train: np.ndarray) -> dict:
-        """Per-``fit`` state for the sharded path (pool, layout, buffers)."""
-        params = list(self.model.parameters())
-        layout, n_values = param_layout(params)
-        rng_mods = [
-            (name, m)
-            for name, m in self.model.named_modules()
-            if isinstance(getattr(m, "rng", None), np.random.Generator)
-        ]
-        max_shards = -(-self.batch_size // self._effective_shard_size())
-        if self.n_jobs > 1:
-            pool = self._ensure_pool()
-            pool.set_data(X_train, y_train)
-            gbuf = pool.grads
-        else:
-            pool = None
-            gbuf = np.empty((max_shards, n_values), dtype=np.float32)
-        return {
-            "params": params,
-            "layout": layout,
-            "rng_mods": rng_mods,
-            "pool": pool,
-            "gbuf": gbuf,
-            "acc": np.empty(n_values, dtype=np.float32),
-        }
-
-    def _sharded_step(
-        self,
-        X_train: np.ndarray,
-        y_train: np.ndarray,
-        idx: np.ndarray,
-        ctx: dict,
-    ) -> float:
-        """One sharded batch: shard gradients, ordered reduce, one step.
-
-        Returns the batch loss ``Σ (n_s / B) · loss_s`` accumulated with
-        serial Python-float adds in shard order — the same association at
-        any worker count.
-        """
-        batch = len(idx)
-        ss = self._effective_shard_size()
-        shards = [idx[b : b + ss] for b in range(0, batch, ss)]
-        weights = [np.float32(len(s) / batch) for s in shards]
-        # One fresh seed per stochastic module per batch, drawn from the
-        # module's own (checkpointed) generator in the parent; shard k
-        # derives SeedSequence([s0, k]) wherever it executes.
-        s0s = {
-            name: int(m.rng.integers(2**63)) for name, m in ctx["rng_mods"]
-        }
-        if ctx["pool"] is not None:
-            losses = ctx["pool"].run_batch(shards, weights, s0s)
-        else:
-            losses = self._run_shards_local(
-                X_train, y_train, shards, weights, s0s, ctx
-            )
-        self.model.zero_grad()
-        reduce_flat_grads(ctx["gbuf"], len(shards), ctx["acc"])
-        scatter_flat_grads(ctx["params"], ctx["layout"], ctx["acc"])
-        if self.grad_clip > 0:
-            self.optimizer.clip_grad_norm(self.grad_clip)
-        self.optimizer.step()
-        batch_loss = 0.0
-        for weight, loss in zip(weights, losses):
-            batch_loss += float(weight) * loss
-        return batch_loss
-
-    def _run_shards_local(
-        self, X, y, shards, weights, s0s, ctx
-    ) -> list[float]:
-        """In-process shard execution — the bit-parity twin of a worker."""
-        rng_mods = ctx["rng_mods"]
-        originals = [m.rng for _, m in rng_mods]
-        losses = []
-        try:
-            for s, (idx, weight) in enumerate(zip(shards, weights)):
-                rngs = shard_rngs(s0s, s)
-                for name, m in rng_mods:
-                    m.rng = rngs[name]
-                self.model.zero_grad()
-                xb = Tensor(X[idx])
-                loss = self.loss_fn(self.model(xb), y[idx])
-                loss.backward(weight)
-                flatten_grads(ctx["params"], ctx["layout"], ctx["gbuf"][s])
-                losses.append(loss.item())
-        finally:
-            for (_, m), rng in zip(rng_mods, originals):
-                m.rng = rng
-        return losses
-
     def _write_checkpoint(
         self,
         path: str | Path,

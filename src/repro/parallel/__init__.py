@@ -1,19 +1,14 @@
-"""HPC-parallel execution substrate.
+"""Process-pool map for grid search and cross-validation.
 
-Single-node process parallelism for embarrassingly parallel stages (grid
-search candidates, per-job telemetry generation).  Design follows the
-mpi4py/NumPy guidance for Python parallelism:
-
-* work units communicate NumPy arrays, not rich objects, where possible;
-* large read-only inputs can be placed in POSIX shared memory once and
-  mapped zero-copy by workers (:mod:`repro.parallel.shared`);
-* results are deterministic and independent of scheduling order, because
-  every unit carries its own seed/stream (see :mod:`repro.utils.rng`).
-
-On a 1-core machine everything degrades gracefully to serial execution.
+The one parallel path in the package:
+:class:`~repro.ml.model_selection.GridSearchCV` and
+:func:`~repro.ml.model_selection.cross_val_score` fan independent
+(candidate, fold) fits out over :func:`parallel_map`.  Every fit is a pure
+function of its parameters and fold indices, so scores do not depend on
+the job count.  With one effective job the map runs inline, so a 1-core
+machine runs the same code path serially.
 """
 
 from repro.parallel.pool import effective_n_jobs, parallel_map
-from repro.parallel.shared import SharedArray, shared_from_array
 
-__all__ = ["parallel_map", "effective_n_jobs", "SharedArray", "shared_from_array"]
+__all__ = ["parallel_map", "effective_n_jobs"]

@@ -23,7 +23,6 @@ Instrumented points (grep for ``fault_point(`` to audit):
 ``store.segment.finalize``      segment data durable in tmp, before the rename
 ``store.manifest.swap``         segments finalized, before the manifest replace
 ``fleet.worker.crash``          top of a fleet worker's step, before any work
-``train.worker.crash``          top of a gradient worker's shard, before any work
 ``fleet.heartbeat.drop``        a worker's heartbeat, dropped in transit
 ``trace.sink.flush``            half of a trace WAL batch's bytes written
 ==============================  =================================================
@@ -73,7 +72,6 @@ FAULT_POINTS = frozenset({
     "store.manifest.swap",
     "fleet.worker.crash",
     "fleet.heartbeat.drop",
-    "train.worker.crash",
     "trace.sink.flush",
 })
 

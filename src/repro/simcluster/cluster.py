@@ -7,9 +7,7 @@ allocation and identity, and synthesizes GPU (and optionally CPU) telemetry.
 
 Determinism: every job draws from its own named random stream derived from
 the config seed (see :class:`repro.utils.SeedSequenceFactory`), so the i-th
-job of class c is bit-identical no matter the generation order — the
-property that lets the parallel generation path produce the same dataset as
-the serial one.
+job of class c is bit-identical no matter the generation order.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.parallel import effective_n_jobs, parallel_map
 from repro.simcluster.architectures import ARCHITECTURES, ArchitectureSpec
 from repro.simcluster.cpu_model import CpuModel, CpuSeries, DEFAULT_CPU_DT_S
 from repro.simcluster.filesystem import DEFAULT_FS_DT_S, FsCounters, FsModel
@@ -175,38 +172,17 @@ class ClusterSimulator:
                             cpu_series=cpu, fs_counters=fs)
 
     def generate(
-        self, n_jobs: int | None = 1, *, store=None
+        self, *, store=None
     ) -> tuple[list[SimulatedJob], SchedulerLog]:
         """Generate the whole release.
-
-        With ``n_jobs > 1`` the job plan is fanned out over worker
-        processes via :func:`repro.parallel.parallel_map` in contiguous
-        *chunks* (one pool message and one result pickle per chunk, not
-        per job — per-job dispatch made the parallel path slower than
-        serial on small jobs).  Every job draws from its own named seed
-        stream (see :meth:`generate_one`), so the release is
-        bit-identical to the serial path at any ``n_jobs`` and any
-        chunking — pinned by the test suite.
 
         ``store`` (an optional :class:`~repro.store.TelemetryStore`)
         archives every GPU series as it is generated: the jobs are
         ingested and sealed before this returns, so a downstream replay
         reads back bit-identical float32 telemetry.
         """
-        plan = self.job_plan()
-        jobs_eff = effective_n_jobs(n_jobs)
-        if jobs_eff > 1 and len(plan) > 1:
-            # ~2 chunks per worker: few enough messages that IPC is
-            # amortized, enough slack that a worker landing the heavy
-            # classes doesn't serialize the tail.
-            n_chunks = min(len(plan), jobs_eff * 2)
-            bounds = np.linspace(0, len(plan), n_chunks + 1, dtype=int)
-            chunks = [plan[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-            chunk_jobs = parallel_map(_GenerateJobWorker(self.config), chunks,
-                                      n_jobs=n_jobs, chunksize=1)
-            jobs = [job for chunk in chunk_jobs for job in chunk]
-        else:
-            jobs = [self.generate_one(job_id, spec) for job_id, spec in plan]
+        jobs = [self.generate_one(job_id, spec)
+                for job_id, spec in self.job_plan()]
         log = SchedulerLog()
         for job in jobs:
             log.append(job.record)
@@ -214,30 +190,3 @@ class ClusterSimulator:
             store.ingest(jobs)
         return jobs, log
 
-
-class _GenerateJobWorker:
-    """Picklable per-chunk generator for process pools.
-
-    Each worker process rebuilds the simulator lazily from the config
-    (generator state never crosses the process boundary; determinism
-    comes from the per-job named seed streams) and generates a whole
-    contiguous chunk of the plan per call.
-    """
-
-    def __init__(self, config: SimulationConfig):
-        self.config = config
-        self._sim: ClusterSimulator | None = None
-
-    def __getstate__(self):
-        return {"config": self.config}
-
-    def __setstate__(self, state):
-        self.config = state["config"]
-        self._sim = None
-
-    def __call__(
-        self, chunk: list[tuple[int, "ArchitectureSpec"]]
-    ) -> list[SimulatedJob]:
-        if self._sim is None:
-            self._sim = ClusterSimulator(self.config)
-        return [self._sim.generate_one(job_id, spec) for job_id, spec in chunk]

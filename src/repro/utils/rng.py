@@ -7,8 +7,7 @@ that convenient:
 
 * :func:`as_generator` normalises ``None | int | Generator`` inputs.
 * :func:`spawn_generators` derives independent child streams, which is how
-  the simulator gives every job its own stream (and how parallel workers
-  stay reproducible regardless of scheduling order).
+  the simulator gives every job its own stream.
 * :class:`SeedSequenceFactory` hands out named, order-independent streams
   so that e.g. the "noise" stream and the "schedule" stream of a simulation
   do not perturb each other when one of them draws more numbers.
@@ -53,8 +52,8 @@ def spawn_generators(
 
     Children are derived via :class:`numpy.random.SeedSequence` spawning, so
     the i-th child is identical no matter how many draws other children make
-    — the property that keeps per-job simulation streams stable under
-    parallel execution.
+    — the property that keeps per-job simulation streams stable whatever
+    else draws from the root.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -80,7 +79,7 @@ class SeedSequenceFactory:
     generators with identical initial state, and the set of names requested
     does not influence any individual stream.  This is the backbone of
     simulator determinism: ``factory.stream("job-0042")`` is the same series
-    of numbers whether jobs are generated serially or in parallel.
+    of numbers whatever order the jobs are generated in.
 
     Examples
     --------

@@ -11,7 +11,7 @@ from repro.core import (
     evaluate_predictions,
 )
 from repro.data.dataset import ChallengeDataset
-from repro.parallel import SharedArray, effective_n_jobs, parallel_map, shared_from_array
+from repro.parallel import effective_n_jobs, parallel_map
 
 
 def _toy_dataset(name="60-middle-1", n_train=20, n_test=8, k=3, seed=0):
@@ -152,44 +152,3 @@ class TestParallelMap:
     def test_empty(self):
         assert parallel_map(_square, []) == []
 
-
-class TestSharedArray:
-    def test_round_trip(self):
-        arr = np.arange(12, dtype=np.float64).reshape(3, 4)
-        shared = shared_from_array(arr)
-        try:
-            view = shared.handle().attach()
-            np.testing.assert_array_equal(view, arr)
-        finally:
-            shared.close()
-
-    def test_mutations_visible_through_handle(self):
-        arr = np.zeros(5)
-        shared = shared_from_array(arr)
-        try:
-            shared.array[2] = 42.0
-            view = shared.handle().attach()
-            assert view[2] == 42.0
-        finally:
-            shared.close()
-
-    def test_context_manager(self):
-        with shared_from_array(np.ones(3)) as shared:
-            handle = shared.handle()
-            assert handle.shape == (3,)
-        with pytest.raises(RuntimeError):
-            shared.handle()
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            SharedArray((0,), np.float64)
-
-    def test_handle_is_picklable(self):
-        import pickle
-
-        shared = shared_from_array(np.arange(4))
-        try:
-            handle2 = pickle.loads(pickle.dumps(shared.handle()))
-            np.testing.assert_array_equal(handle2.attach(), np.arange(4))
-        finally:
-            shared.close()

@@ -1,11 +1,12 @@
 """A spawned child imports only what it runs.
 
-Every ``spawn`` child (fleet worker, trainer pool worker) starts a fresh
-interpreter and pays for each module its entry point pulls in.  These
-tests start such an interpreter, run what the child runs, and check that
-the heavy packages it never uses stay out of ``sys.modules``: scipy
-(the simulator filters and PCA import it at their use sites) and the
-subpackages that ``repro`` and ``repro.core`` export lazily.
+Every ``spawn`` child (a fleet worker) starts a fresh interpreter and
+pays for each module its entry point pulls in.  These tests start such an
+interpreter, run what the child runs, and check that the heavy packages
+it never uses stay out of ``sys.modules``: scipy (the simulator filters
+and PCA import it at their use sites), the subpackages that ``repro`` and
+``repro.core`` export lazily, and the process-pool machinery that only
+grid search and cross-validation load.
 
 A structural check, not a timing gate.
 """
@@ -52,7 +53,8 @@ def test_fleet_worker_child_serves_rf_cov_without_heavy_imports(tmp_path):
     expected = int(model.predict(X[:1])[0])
 
     watched = ["scipy", "repro.nn", "repro.data", "repro.models",
-               "repro.store"]
+               "repro.store", "repro.parallel",
+               "multiprocessing.shared_memory"]
     loaded = _loaded_after(f"""
         import pickle
         import numpy as np
@@ -64,9 +66,10 @@ def test_fleet_worker_child_serves_rf_cov_without_heavy_imports(tmp_path):
     assert loaded == []
 
 
-def test_trainer_pool_child_skips_scipy_and_the_simulator(tmp_path):
-    watched = ["scipy", "repro.data", "repro.simcluster.cluster"]
-    loaded = _loaded_after("import repro.nn.training.parallel\n",
+def test_trainer_import_skips_scipy_the_simulator_and_the_pool(tmp_path):
+    watched = ["scipy", "repro.data", "repro.simcluster.cluster",
+               "repro.parallel"]
+    loaded = _loaded_after("import repro.nn.training.trainer\n",
                            watched, tmp_path)
     assert loaded == []
 

@@ -200,11 +200,6 @@ class TestFlatForest:
         assert np.array_equal(forest_predict_proba(forest, Xt),
                               forest.predict_proba(Xt))
 
-    def test_n_jobs_bit_identical(self, forest):
-        Xt, _ = _blobs(120, 10, 6, seed=2)
-        assert np.array_equal(forest.predict_proba(Xt),
-                              forest.predict_proba(Xt, n_jobs=2))
-
     def test_pickle_drops_cache_and_still_matches(self, forest):
         import pickle
 
@@ -238,7 +233,6 @@ class TestFlatForest:
         Xt, yt = _blobs(150, 8, 4, seed=5)
         assert np.array_equal(boosting_margins(gb, Xt), gb._margins(Xt))
         assert np.array_equal(boosting_margins(gb, Xt, 2), gb._margins(Xt, 2))
-        assert np.array_equal(gb._margins(Xt), gb._margins(Xt, n_jobs=2))
         # staged_accuracy accumulates the same margins round by round
         staged = gb.staged_accuracy(Xt, yt)
         assert staged.shape == (5,)
@@ -320,28 +314,23 @@ class TestZeroCopyServing:
 
 
 # ----------------------------------------------------------------------
-# Parallel dataset generation
+# Dataset generation
 # ----------------------------------------------------------------------
-class TestParallelDatagen:
-    def test_bit_identical_to_serial(self):
+class TestDatagenDeterminism:
+    def test_release_independent_of_generation_order(self):
+        # Every job draws from its own named seed stream, so generating
+        # the plan back to front yields the same release bit for bit.
         from repro.simcluster.cluster import ClusterSimulator, SimulationConfig
 
         cfg = SimulationConfig(seed=11, trials_scale=0.004,
                                min_jobs_per_class=1)
-        serial_jobs, serial_log = ClusterSimulator(cfg).generate()
-        par_jobs, par_log = ClusterSimulator(cfg).generate(n_jobs=2)
-        assert list(serial_log) == list(par_log)
-        assert len(serial_jobs) == len(par_jobs)
-        for a, b in zip(serial_jobs, par_jobs):
+        jobs, log = ClusterSimulator(cfg).generate()
+        sim = ClusterSimulator(cfg)
+        backwards = [sim.generate_one(job_id, spec)
+                     for job_id, spec in reversed(sim.job_plan())][::-1]
+        assert list(log) == [job.record for job in backwards]
+        assert len(jobs) == len(backwards)
+        for a, b in zip(jobs, backwards):
             assert a.record == b.record
             for ga, gb in zip(a.gpu_series, b.gpu_series):
                 assert np.array_equal(ga.data, gb.data)
-
-    def test_n_jobs_one_is_serial(self):
-        from repro.simcluster.cluster import ClusterSimulator, SimulationConfig
-
-        cfg = SimulationConfig(seed=3, trials_scale=0.004,
-                               min_jobs_per_class=1)
-        jobs1, _ = ClusterSimulator(cfg).generate(n_jobs=1)
-        jobs0, _ = ClusterSimulator(cfg).generate()
-        assert all(a.record == b.record for a, b in zip(jobs0, jobs1))

@@ -1,13 +1,18 @@
 """Unit tests for the resilience toolkit: fault points, retry, atomic
 persistence + checksums, preemption sampling, and checkpoint basics."""
 
+import ast
 import pickle
+import re
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.resilience import (
+    FAULT_POINTS,
     FaultInjector,
     FaultSpec,
     InjectedFault,
@@ -55,6 +60,31 @@ class TestFaultInjection:
         # Context exited: writes work again.
         atomic_write_bytes(tmp_path / "f.bin", b"payload")
         assert (tmp_path / "f.bin").read_bytes() == b"payload"
+
+
+class TestFaultRegistry:
+    def test_registry_equals_call_sites(self):
+        # Every fault_point("...") call in the package names a registered
+        # point, and every registered point has a call site.
+        called, dynamic = set(), []
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "fault_point"):
+                    continue
+                arg = node.args[0] if node.args else None
+                if isinstance(arg, ast.Constant) and type(arg.value) is str:
+                    called.add(arg.value)
+                else:
+                    dynamic.append(f"{path}:{node.lineno}")
+        assert dynamic == []
+        assert called == FAULT_POINTS
+
+    def test_docstring_table_lists_the_registry(self):
+        from repro.resilience import faults
+
+        table = set(re.findall(r"^``([a-z_.]+)``\s", faults.__doc__, re.M))
+        assert table == FAULT_POINTS
 
 
 class TestAtomicWrite:
@@ -248,6 +278,34 @@ class TestHistoryRegressions:
 
 
 class TestGridSearchParity:
+    def test_zero_or_negative_jobs_raise(self, blobs_split):
+        from repro.ml.model_selection import GridSearchCV, cross_val_score
+        from repro.ml.tree import DecisionTreeClassifier
+
+        Xtr, ytr, _, _ = blobs_split
+        est = DecisionTreeClassifier(max_depth=3, random_state=0)
+        for n_jobs in (0, -5):
+            with pytest.raises(ValueError, match="n_jobs"):
+                cross_val_score(est, Xtr, ytr, cv=3, n_jobs=n_jobs)
+            with pytest.raises(ValueError, match="n_jobs"):
+                GridSearchCV(est, {"max_depth": [2]}, cv=2,
+                             n_jobs=n_jobs).fit(Xtr, ytr)
+
+    def test_all_cores_returns_serial_scores(self, blobs_split):
+        from repro.ml.model_selection import GridSearchCV, cross_val_score
+        from repro.ml.tree import DecisionTreeClassifier
+
+        Xtr, ytr, _, _ = blobs_split
+        est = DecisionTreeClassifier(max_depth=3, random_state=0)
+        np.testing.assert_array_equal(
+            cross_val_score(est, Xtr, ytr, cv=3),
+            cross_val_score(est, Xtr, ytr, cv=3, n_jobs=-1))
+        grid = {"max_depth": [2, 3]}
+        serial = GridSearchCV(est, grid, cv=2).fit(Xtr, ytr)
+        every = GridSearchCV(est, grid, cv=2, n_jobs=-1).fit(Xtr, ytr)
+        np.testing.assert_array_equal(serial.cv_results_["fold_scores"],
+                                      every.cv_results_["fold_scores"])
+
     def test_cross_val_score_n_jobs_matches_serial(self, blobs_split):
         from repro.ml.model_selection import cross_val_score
         from repro.ml.tree import DecisionTreeClassifier
