@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.simcluster.sensors import N_GPU_SENSORS
+from repro.telemetry import N_GPU_SENSORS
 
 __all__ = ["StreamPrediction", "OnlineWorkloadClassifier"]
 

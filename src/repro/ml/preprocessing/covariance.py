@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseEstimator, TransformerMixin
-from repro.simcluster.sensors import GPU_SENSORS
+from repro.telemetry import N_GPU_SENSORS
 from repro.utils.validation import check_3d
 
 __all__ = ["upper_triangle_covariance", "covariance_feature_names", "CovarianceFeatures"]
@@ -54,7 +54,13 @@ def covariance_feature_names(sensor_names: list[str] | None = None) -> list[str]
     ``var(x)`` for diagonal entries, ``cov(x, y)`` off-diagonal; order
     matches :func:`upper_triangle_covariance` (row-major upper triangle).
     """
-    names = sensor_names if sensor_names is not None else [s.name for s in GPU_SENSORS]
+    names = sensor_names
+    if names is None:
+        # The simulator's schema, imported here: serving a fitted model
+        # (a fleet worker unpickling it) never needs the names.
+        from repro.simcluster.sensors import GPU_SENSORS
+
+        names = [s.name for s in GPU_SENSORS]
     s = len(names)
     iu = np.triu_indices(s)
     out = []
@@ -82,8 +88,8 @@ class CovarianceFeatures(BaseEstimator, TransformerMixin):
         X = check_3d(X)
         self.n_sensors_in_ = X.shape[2]
         self.feature_names_ = covariance_feature_names(
-            [s.name for s in GPU_SENSORS]
-            if X.shape[2] == len(GPU_SENSORS)
+            None
+            if X.shape[2] == N_GPU_SENSORS
             else [f"sensor{i}" for i in range(X.shape[2])]
         )
         return self

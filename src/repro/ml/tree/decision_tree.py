@@ -1,10 +1,14 @@
-"""CART classification tree with a fully vectorized split search.
+"""CART classification tree with one vectorized split search per node.
 
-Per node, per candidate feature: sort the node's samples by feature value,
-build cumulative one-hot class counts, and score *every* split position in
-one shot (Gini impurity from the prefix/suffix count matrices).  The only
-Python-level loops are over features at a node and over nodes — both small
-— so fitting stays NumPy-bound (see the vectorization guide).
+At each node, all candidate features are searched together: the node's
+``(n, m)`` block of candidate columns is argsorted along the samples axis,
+cumulative one-hot class counts form an ``(n, m, k)`` block, and the
+weighted Gini impurity of every (split position, feature) pair is scored
+at once.  The first minimum position of each feature, then the first
+feature in candidate order, wins.  Features are taken in chunks so that no
+``(n, m, k)`` transient exceeds ``_MAX_BLOCK`` elements.  Each child gets
+its class counts from the winning split, so no node re-sums its labels.
+The only Python-level loop is over nodes (see the vectorization guide).
 
 The fitted tree is stored in flat arrays (``feature_``, ``threshold_``,
 ``children_left_`` …), and prediction advances all query rows level-by-level
@@ -13,28 +17,33 @@ through those arrays — no per-sample recursion.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_2d, check_labels
 
-__all__ = ["DecisionTreeClassifier", "best_split_gini"]
+__all__ = ["DecisionTreeClassifier", "best_split"]
 
-_NO_SPLIT = (-1, 0.0, -np.inf)
+#: Most elements in one ``(n, m, k)`` split-search transient (8 MiB of
+#: float64).  A node whose full block is larger is searched a chunk of
+#: features at a time.
+_MAX_BLOCK = 1 << 20
 
 
-def best_split_gini(
-    x: np.ndarray,
+def best_split(
+    Xn: np.ndarray,
     y_onehot: np.ndarray,
     min_samples_leaf: int,
-) -> tuple[float, float] | None:
-    """Best threshold on one feature by Gini gain.
+) -> tuple[int, float, float, np.ndarray] | None:
+    """Best Gini split of one node over every column of its block.
 
     Parameters
     ----------
-    x:
-        Feature values at the node, shape ``(n,)``.
+    Xn:
+        Candidate feature values at the node, shape ``(n, m)``.
     y_onehot:
         One-hot labels at the node, shape ``(n, k)``.
     min_samples_leaf:
@@ -42,38 +51,62 @@ def best_split_gini(
 
     Returns
     -------
-    ``(threshold, weighted_gini)`` of the best valid split, or ``None`` if
-    no valid split exists (constant feature or leaf-size limits).
+    ``(column, threshold, weighted_gini, left_counts)`` of the best valid
+    split, where ``left_counts`` are the ``(k,)`` class counts of the
+    samples with ``Xn[:, column] <= threshold``; or ``None`` if no column
+    has a valid split (constant columns or leaf-size limits).  Ties go to
+    the lowest split position of a column, then to the lowest column.
     """
-    n = x.shape[0]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    counts_left = np.cumsum(y_onehot[order], axis=0)  # (n, k), position i = left size i+1
-    total = counts_left[-1]
-
-    # Split after position i (left = first i+1 samples).  Valid positions:
-    # value changes AND both sides satisfy the leaf minimum.
-    left_sizes = np.arange(1, n + 1)
-    valid = np.empty(n, dtype=bool)
-    valid[:-1] = xs[1:] > xs[:-1]
-    valid[-1] = False
-    valid &= (left_sizes >= min_samples_leaf) & ((n - left_sizes) >= min_samples_leaf)
-    if not valid.any():
+    n, m = Xn.shape
+    # Split after sorted position i (left = first i+1 samples).  The leaf
+    # minimum admits lo <= i < hi; a position is valid if the value changes.
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    if lo >= hi:
         return None
-
-    nl = left_sizes[:, None].astype(np.float64)
-    nr = (n - left_sizes)[:, None].astype(np.float64)
-    counts_right = total[None, :] - counts_left
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gini_l = 1.0 - np.sum((counts_left / nl) ** 2, axis=1)
-        gini_r = 1.0 - np.sum(
-            np.where(nr > 0, counts_right / nr, 0.0) ** 2, axis=1
-        )
-    weighted = (left_sizes * gini_l + (n - left_sizes) * gini_r) / n
-    weighted[~valid] = np.inf
-    best = int(np.argmin(weighted))
-    threshold = 0.5 * (xs[best] + xs[best + 1])
-    return float(threshold), float(weighted[best])
+    left_sizes = np.arange(lo + 1, hi + 1)[:, None]
+    right_sizes = n - left_sizes
+    nl = left_sizes[:, :, None].astype(np.float64)
+    nr = right_sizes[:, :, None].astype(np.float64)
+    step = max(1, _MAX_BLOCK // (n * y_onehot.shape[1]))
+    # The Gini terms repeat the per-feature reference's float operations in
+    # its order (``tests/oracles/trees.py``), so the scores, and hence the
+    # fitted trees, are bit-identical to it.
+    best, best_score = None, np.inf
+    for c0 in range(0, m, step):
+        block = Xn[:, c0:c0 + step]
+        cols = np.arange(block.shape[1])
+        order = block.argsort(axis=0, kind="stable")
+        xs = block[order, cols]
+        counts_left = y_onehot[order].cumsum(axis=0)  # (n, m, k)
+        total = counts_left[-1]
+        counts_left = counts_left[lo:hi]
+        share = counts_left / nl
+        share *= share
+        gini_l = 1.0 - share.sum(axis=2)
+        share = total - counts_left
+        share /= nr
+        share *= share
+        gini_r = 1.0 - share.sum(axis=2)
+        weighted = (left_sizes * gini_l + right_sizes * gini_r) / n
+        weighted[xs[lo + 1:hi + 1] <= xs[lo:hi]] = np.inf
+        pos = weighted.argmin(axis=0)
+        scores = weighted[pos, cols]
+        j = int(scores.argmin())
+        if scores[j] < best_score:
+            i = lo + int(pos[j])
+            best_score = scores[j]
+            best = (c0 + j, float(xs[i, j]), float(xs[i + 1, j]),
+                    counts_left[pos[j], j].copy())
+    if best is None:
+        return None
+    column, below, above, left_counts = best
+    threshold = 0.5 * (below + above)
+    if not below <= threshold < above:
+        # The midpoint of adjacent floats can round up to ``above``, and
+        # ``below + above`` can overflow; either would send the wrong
+        # samples left.
+        threshold = below
+    return column, threshold, float(best_score), left_counts
 
 
 class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
@@ -107,14 +140,18 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         self.random_state = random_state
 
     def _n_candidate_features(self, p: int) -> int:
-        if self.max_features is None:
+        mf = self.max_features
+        if mf is None:
             return p
-        if self.max_features == "sqrt":
+        if isinstance(mf, str) and mf == "sqrt":
             return max(1, int(np.sqrt(p)))
-        k = int(self.max_features)
-        if not 1 <= k <= p:
-            raise ValueError(f"max_features={k} out of range [1, {p}]")
-        return k
+        if (isinstance(mf, numbers.Integral) and not isinstance(mf, bool)
+                and 1 <= mf <= p):
+            return int(mf)
+        raise ValueError(
+            f"max_features must be None, 'sqrt' or an int in [1, {p}], "
+            f"got {mf!r}"
+        )
 
     def fit(self, X, y) -> "DecisionTreeClassifier":
         """Fit to training data; returns self."""
@@ -146,13 +183,14 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             return len(feature) - 1
 
         # Iterative depth-first growth (explicit stack; no recursion limit).
+        # Each entry carries its node's class counts, taken from the split.
         root = new_node()
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
+        stack: list[tuple[int, np.ndarray, int, np.ndarray]] = [
+            (root, np.arange(X.shape[0]), 0, onehot.sum(axis=0))]
         while stack:
-            node, idx, depth = stack.pop()
-            counts = onehot[idx].sum(axis=0)
-            value[node] = counts / counts.sum()
+            node, idx, depth, counts = stack.pop()
             n_node = idx.size
+            value[node] = counts / n_node
             if (
                 depth >= max_depth
                 or n_node < self.min_samples_split
@@ -164,22 +202,19 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
                 if m == p
                 else rng.choice(p, size=m, replace=False)
             )
-            best_feat, best_thr, best_score = -1, 0.0, np.inf
-            Xn = X[idx]
-            yn = onehot[idx]
-            for f in cand:
-                res = best_split_gini(Xn[:, f], yn, self.min_samples_leaf)
-                if res is not None and res[1] < best_score:
-                    best_feat, best_thr, best_score = int(f), res[0], res[1]
-            if best_feat < 0:
+            split = best_split(X[idx[:, None], cand], onehot[idx],
+                               self.min_samples_leaf)
+            if split is None:
                 continue
-            go_left = Xn[:, best_feat] <= best_thr
+            column, thr, _, counts_left = split
+            best_feat = int(cand[column])
+            go_left = X[idx, best_feat] <= thr
             feature[node] = best_feat
-            threshold[node] = best_thr
+            threshold[node] = thr
             l_node, r_node = new_node(), new_node()
             left[node], right[node] = l_node, r_node
-            stack.append((l_node, idx[go_left], depth + 1))
-            stack.append((r_node, idx[~go_left], depth + 1))
+            stack.append((l_node, idx[go_left], depth + 1, counts_left))
+            stack.append((r_node, idx[~go_left], depth + 1, counts - counts_left))
 
         self.feature_ = np.array(feature, dtype=np.int64)
         self.threshold_ = np.array(threshold, dtype=np.float64)

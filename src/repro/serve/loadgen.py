@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.serve.server import Emission, InferenceServer
-from repro.simcluster.workload import DEFAULT_DT_S
+from repro.telemetry import DEFAULT_DT_S
 from repro.utils.rng import as_generator
 
 __all__ = ["SimulatedClock", "ManualClock", "LoadReport", "FleetLoadGenerator"]

@@ -37,7 +37,7 @@ from repro.core.streaming import StreamPrediction
 from repro.serve.batcher import BatchCompletion, MicroBatcher
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.session import StreamSession
-from repro.simcluster.sensors import N_GPU_SENSORS
+from repro.telemetry import N_GPU_SENSORS
 
 __all__ = ["ServeConfig", "Emission", "IngressQueue", "InferenceServer",
            "SubmitResult"]

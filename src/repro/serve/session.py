@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.streaming import StreamPrediction
-from repro.simcluster.sensors import N_GPU_SENSORS
+from repro.telemetry import N_GPU_SENSORS
 
 __all__ = ["WindowRequest", "StreamSession"]
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.telemetry import N_GPU_SENSORS
+
 __all__ = [
     "SensorSpec",
     "GPU_SENSORS",
@@ -74,7 +76,6 @@ CPU_METRICS: tuple[SensorSpec, ...] = (
     SensorSpec("WriteMB", "Amount of data written", "MB", 0.0, float("inf")),
 )
 
-N_GPU_SENSORS = len(GPU_SENSORS)
 N_CPU_METRICS = len(CPU_METRICS)
 
 _GPU_INDEX = {spec.name: i for i, spec in enumerate(GPU_SENSORS)}

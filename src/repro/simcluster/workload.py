@@ -26,12 +26,9 @@ from repro.simcluster.architectures import ArchitectureSpec
 from repro.simcluster.gpu import GpuModel
 from repro.simcluster.phases import PhaseKind, PhaseSchedule, build_phase_schedule
 from repro.simcluster.signatures import SignatureParams, signature_for
+from repro.telemetry import DEFAULT_DT_S
 
 __all__ = ["GpuSeries", "JobTelemetry", "WorkloadGenerator", "DEFAULT_DT_S"]
-
-#: GPU telemetry sampling interval.  540 samples per 60-second window in the
-#: challenge datasets implies 9 Hz.
-DEFAULT_DT_S = 60.0 / 540.0
 
 
 @dataclass

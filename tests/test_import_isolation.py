@@ -4,9 +4,10 @@ Every ``spawn`` child (a fleet worker) starts a fresh interpreter and
 pays for each module its entry point pulls in.  These tests start such an
 interpreter, run what the child runs, and check that the heavy packages
 it never uses stay out of ``sys.modules``: scipy (the simulator filters
-and PCA import it at their use sites), the subpackages that ``repro`` and
-``repro.core`` export lazily, and the process-pool machinery that only
-grid search and cross-validation load.
+and PCA import it at their use sites), the simulator package (serving
+reads its stream constants from ``repro.telemetry``), the subpackages
+that ``repro`` and ``repro.core`` export lazily, and the process-pool
+machinery that only grid search and cross-validation load.
 
 A structural check, not a timing gate.
 """
@@ -53,7 +54,7 @@ def test_fleet_worker_child_serves_rf_cov_without_heavy_imports(tmp_path):
     expected = int(model.predict(X[:1])[0])
 
     watched = ["scipy", "repro.nn", "repro.data", "repro.models",
-               "repro.store", "repro.parallel",
+               "repro.store", "repro.parallel", "repro.simcluster",
                "multiprocessing.shared_memory"]
     loaded = _loaded_after(f"""
         import pickle
@@ -84,3 +85,15 @@ def test_probe_sees_a_loaded_package(tmp_path):
     loaded = _loaded_after("from repro import SimulationConfig\n",
                            ["scipy", "repro.simcluster.cluster"], tmp_path)
     assert loaded == ["repro.simcluster.cluster"]
+
+
+def test_simulator_re_exports_the_telemetry_constants():
+    """Serving reads the stream constants from the leaf ``repro.telemetry``;
+    the simulator's names are the same objects, and the sensor count
+    matches Table III's schema."""
+    from repro import telemetry
+    from repro.simcluster import sensors, workload
+
+    assert sensors.N_GPU_SENSORS is telemetry.N_GPU_SENSORS
+    assert workload.DEFAULT_DT_S is telemetry.DEFAULT_DT_S
+    assert len(sensors.GPU_SENSORS) == telemetry.N_GPU_SENSORS

@@ -13,27 +13,34 @@ from repro.ml.boosting import (
 from repro.ml.boosting.losses import log_loss
 from repro.ml.ensemble import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier
-from repro.ml.tree.decision_tree import best_split_gini
+from repro.ml.tree.decision_tree import best_split
+
+
+def best_split_1d(x, y, min_samples_leaf):
+    """The node search over a one-column block: ``(threshold, score)``
+    or ``None``, the per-feature search's contract."""
+    res = best_split(x[:, None], y, min_samples_leaf)
+    return None if res is None else res[1:3]
 
 
 class TestBestSplitGini:
     def test_finds_clean_split(self):
         x = np.array([0.0, 1.0, 2.0, 10.0, 11.0, 12.0])
         y = np.eye(2)[np.array([0, 0, 0, 1, 1, 1])]
-        thr, score = best_split_gini(x, y, min_samples_leaf=1)
+        thr, score = best_split_1d(x, y, min_samples_leaf=1)
         assert 2.0 < thr < 10.0
         assert score == pytest.approx(0.0)
 
     def test_constant_feature_none(self):
         x = np.ones(6)
         y = np.eye(2)[np.array([0, 1, 0, 1, 0, 1])]
-        assert best_split_gini(x, y, 1) is None
+        assert best_split_1d(x, y, 1) is None
 
     def test_min_samples_leaf_respected(self):
         x = np.arange(10, dtype=float)
         y = np.eye(2)[np.array([0] * 9 + [1])]
         # A leaf minimum of 3 forbids isolating the single positive.
-        res = best_split_gini(x, y, min_samples_leaf=3)
+        res = best_split_1d(x, y, min_samples_leaf=3)
         if res is not None:
             thr, _ = res
             assert np.sum(x > thr) >= 3 and np.sum(x <= thr) >= 3
@@ -41,7 +48,7 @@ class TestBestSplitGini:
     def test_threshold_between_values(self):
         x = np.array([1.0, 2.0])
         y = np.eye(2)[np.array([0, 1])]
-        thr, _ = best_split_gini(x, y, 1)
+        thr, _ = best_split_1d(x, y, 1)
         assert thr == pytest.approx(1.5)
 
 
@@ -103,6 +110,22 @@ class TestDecisionTree:
             DecisionTreeClassifier(min_samples_leaf=0).fit(Xtr, ytr)
         with pytest.raises(ValueError):
             DecisionTreeClassifier(max_features=99).fit(Xtr, ytr)
+
+    @pytest.mark.parametrize("max_features",
+                             ["log2", "auto", 2.7, 0.5, 1.0, True, False, 0,
+                              -1, 3, np.int64(0), "2", [1]])
+    def test_max_features_rejects_all_but_none_sqrt_or_int(self, max_features):
+        X = np.arange(12.0).reshape(6, 2)
+        y = np.array([0, 0, 0, 1, 1, 1])
+        with pytest.raises(ValueError, match="None, 'sqrt' or an int in"):
+            DecisionTreeClassifier(max_features=max_features).fit(X, y)
+
+    @pytest.mark.parametrize("max_features,expected",
+                             [(None, 5), ("sqrt", 2), (1, 1), (5, 5),
+                              (np.int64(3), 3)])
+    def test_max_features_accepted_values(self, max_features, expected):
+        tree = DecisionTreeClassifier(max_features=max_features)
+        assert tree._n_candidate_features(5) == expected
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 1000))

@@ -1,9 +1,9 @@
 """Parity references live in ``tests/oracles/``, never in ``src/repro``.
 
 Production code has one implementation per behaviour.  A reference path
-kept beside its fast path (a ``*_slow`` function or method) or a switch
-between the two (``fused_backward``) fails this walk over the package's
-syntax trees.
+kept beside its fast path (a ``*_slow`` function or method, or the
+per-feature CART split search ``best_split_gini``) or a switch between the
+two (``fused_backward``) fails this walk over the package's syntax trees.
 """
 
 import ast
@@ -15,7 +15,8 @@ SRC = Path(repro.__file__).resolve().parent
 
 
 def _banned(name: str) -> bool:
-    return name == "fused_backward" or name.endswith("_slow")
+    return (name in ("fused_backward", "best_split_gini")
+            or name.endswith("_slow"))
 
 
 def _defined_names(node: ast.AST):
@@ -65,11 +66,13 @@ def test_walk_flags_each_banned_form():
         "        self.fused_backward = False\n"
         "def predict_slow():\n"
         "    pass\n"
+        "def best_split_gini(x, y, leaf):\n"
+        "    pass\n"
     )
     found = _offences(ast.parse(snippet), SRC / "snippet.py")
     assert sorted(f.split(": ")[1] for f in found) == [
-        "_forward_slow", "backward_slow", "fused_backward",
-        "fused_backward", "predict_slow",
+        "_forward_slow", "backward_slow", "best_split_gini",
+        "fused_backward", "fused_backward", "predict_slow",
     ]
 
 
