@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ml.tree.threshold import split_threshold
 from repro.utils.rng import as_generator
 
 __all__ = ["BoostingTree"]
@@ -91,7 +92,7 @@ class BoostingTree:
         best = int(np.argmax(gain))
         if gain[best] <= 0.0:
             return None
-        return float(gain[best]), 0.5 * (xs[best] + xs[best + 1])
+        return float(gain[best]), split_threshold(xs[best], xs[best + 1])
 
     def fit(self, X: np.ndarray, g: np.ndarray, h: np.ndarray) -> "BoostingTree":
         """Fit to training data; returns self."""

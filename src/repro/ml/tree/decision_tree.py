@@ -22,6 +22,7 @@ import numbers
 import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin
+from repro.ml.tree.threshold import split_threshold
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_2d, check_labels
 
@@ -100,13 +101,8 @@ def best_split(
     if best is None:
         return None
     column, below, above, left_counts = best
-    threshold = 0.5 * (below + above)
-    if not below <= threshold < above:
-        # The midpoint of adjacent floats can round up to ``above``, and
-        # ``below + above`` can overflow; either would send the wrong
-        # samples left.
-        threshold = below
-    return column, threshold, float(best_score), left_counts
+    return (column, split_threshold(below, above), float(best_score),
+            left_counts)
 
 
 class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):

@@ -259,6 +259,20 @@ class TestBoostingTree:
         assert tree.split_gains_[1] > tree.split_gains_[0]
         assert tree.split_gains_[1] > tree.split_gains_[2]
 
+    def test_threshold_of_adjacent_floats_keeps_the_split(self):
+        # The midpoint of adjacent floats rounds up to the upper value;
+        # the threshold must fall back to the lower one so that ``<=``
+        # routes the split that was scored.
+        lo = np.nextafter(1.0, 2.0)
+        hi = np.nextafter(lo, 2.0)
+        assert 0.5 * (lo + hi) == hi
+        X = np.array([[lo], [lo], [hi], [hi]])
+        g = np.array([1.0, 1.0, -1.0, -1.0])
+        tree = BoostingTree(max_depth=1, min_child_weight=0.0).fit(
+            X, g, np.ones(4))
+        assert tree.threshold_[0] == lo
+        np.testing.assert_allclose(tree.predict(X), [-2 / 3, -2 / 3, 2 / 3, 2 / 3])
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             BoostingTree(max_depth=0)
