@@ -21,10 +21,14 @@ drives it unchanged) but fans the work across N workers:
   with the router's own (counters add, gauges sum, histogram
   percentiles over the union of samples), giving the operator one
   fleet-wide view — the signal the autoscaler consumes.
+* **Scatter/gather** — :meth:`step` and :meth:`drain` first start the op
+  on every live worker, then collect the replies in sorted-id order, so
+  subprocess workers compute at the same time.  Workers found dead fail
+  over only after every reply has been read, again in sorted-id order.
 
-Everything is synchronous and clock-injected; a fleet replay is
-deterministic for a fixed seed, which is what lets the tests pin routing
-determinism and failover parity bit-for-bit.
+Everything is clock-injected and the router itself is single-threaded;
+a fleet replay is deterministic for a fixed seed, which is what lets the
+tests pin routing determinism and failover parity bit-for-bit.
 """
 
 from __future__ import annotations
@@ -255,11 +259,13 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # processing
     def step(self) -> list[Emission]:
-        """One fleet tick: lease checks, then every worker steps.
+        """One fleet tick: lease checks, then every worker steps at once.
 
-        Workers step in sorted-id order (determinism); any crash observed
-        mid-step fails over inline, and emissions recovered by the
-        resulting rebuilds are appended to this tick's output.
+        See :meth:`_scatter_gather`: every live worker is sent its step
+        before any reply is read, so subprocess workers compute in
+        parallel.  Emissions come out in sorted-id order (determinism),
+        and those recovered by the failovers of workers found dead are
+        appended to this tick's output.
         """
         out = self._take_buffer()
         if self.health is not None:
@@ -267,31 +273,14 @@ class FleetRouter:
                 if worker_id in self._workers:
                     self.metrics.counter("fleet.lease_expired").inc()
                     self._on_worker_death(worker_id)
-        for worker_id in sorted(self._workers):
-            worker = self._workers.get(worker_id)
-            if worker is None:          # removed by an earlier failover
-                continue
-            try:
-                emissions = worker.step()
-            except WorkerUnavailable:
-                self._on_worker_death(worker_id)
-                continue
-            self._note(emissions)
-            out.extend(emissions)
+        out.extend(self._scatter_gather("step"))
         out.extend(self._take_buffer())
         return out
 
     def drain(self) -> list[Emission]:
-        """Flush every worker (graceful fleet shutdown)."""
+        """Flush every worker at once (graceful fleet shutdown)."""
         out = self._take_buffer()
-        for worker_id in sorted(self._workers):
-            try:
-                emissions = self._workers[worker_id].drain()
-            except WorkerUnavailable:
-                self._on_worker_death(worker_id)
-                continue
-            self._note(emissions)
-            out.extend(emissions)
+        out.extend(self._scatter_gather("drain"))
         out.extend(self._take_buffer())
         return out
 
@@ -359,6 +348,41 @@ class FleetRouter:
 
     # ------------------------------------------------------------------
     # internals
+    def _scatter_gather(self, op: str) -> list[Emission]:
+        """Run ``op`` (``"step"`` or ``"drain"``) on every live worker.
+
+        Scatter: ``worker.start(op)`` for every worker in sorted-id order.
+        Gather: ``worker.finish(op)`` in the same order, so the emissions
+        are those of a serial pass.  Failover waits until every reply has
+        been read: a rebuild sent to a survivor whose reply is still
+        unread would take that reply for its own.  Deferring it changes
+        nothing else when one worker dies — a rebuild never touches the
+        adopting worker's live batcher and the clock does not move during
+        a tick — so the emissions and timeline are those of a serial
+        pass.  When several die in one tick, all leave the ring first and
+        their jobs are rebuilt in sorted-id order, onto survivors only.
+        """
+        started, dead = [], []
+        for worker_id in sorted(self._workers):
+            try:
+                self._workers[worker_id].start(op)
+            except WorkerUnavailable:
+                dead.append(worker_id)
+                continue
+            started.append(worker_id)
+        out: list[Emission] = []
+        for worker_id in started:
+            try:
+                emissions = self._workers[worker_id].finish(op)
+            except WorkerUnavailable:
+                dead.append(worker_id)
+                continue
+            self._note(emissions)
+            out.extend(emissions)
+        if dead:
+            self._on_worker_death(*sorted(dead))
+        return out
+
     def _take_buffer(self) -> list[Emission]:
         out, self._buffer = self._buffer, []
         return out
@@ -417,39 +441,47 @@ class FleetRouter:
             self._buffer.extend(emissions)
         return emissions
 
-    def _on_worker_death(self, worker_id: str) -> None:
-        """Abrupt failover: un-ring the dead worker, rebuild its jobs."""
-        self._workers.pop(worker_id)
-        self.ring.remove(worker_id)
-        if self.health is not None:
-            self.health.deregister(worker_id)
-        self.metrics.counter("fleet.failovers").inc()
+    def _on_worker_death(self, *worker_ids: str) -> None:
+        """Abrupt failover: un-ring the dead workers, rebuild their jobs.
+
+        Every dead worker leaves the ring before any job is rebuilt, so
+        no job is rebuilt onto a worker already known to be dead; the
+        jobs are then rebuilt one dead worker at a time, in the order
+        given.
+        """
+        for worker_id in worker_ids:
+            self._workers.pop(worker_id)
+            self.ring.remove(worker_id)
+            if self.health is not None:
+                self.health.deregister(worker_id)
+            self.metrics.counter("fleet.failovers").inc()
         self.metrics.gauge("fleet.workers").set(len(self._workers))
         if not self._workers:
             raise WorkerUnavailable(
-                f"last worker {worker_id!r} died; nothing to fail over to"
+                f"last worker {worker_ids[-1]!r} died; nothing to fail over to"
             )
-        jobs = self._jobs_owned_by(worker_id)
-        if self.tracer is not None:
-            now = self.clock()
-            for job in jobs:
-                ctx = self._trace_ctx.get(job)
-                if ctx is not None:
-                    # The request that was in flight on the dead worker is
-                    # marked failed in its own trace; the rebuild spans
-                    # that follow (via _migrate) attach alongside it.
-                    self.tracer.emit(
-                        self.tracer.child(ctx), "worker.lost",
-                        start_s=now, end_s=now, worker_id=worker_id,
-                        status="failed", annotations={"job": job},
-                    )
-        recovered = sum(
-            len(self._migrate(job, source=None)) for job in jobs
-        )
-        self.events.append(FailoverEvent(
-            at_s=self.clock(), kind="failover", worker_id=worker_id,
-            n_jobs=len(jobs), n_recovered=recovered,
-        ))
+        for worker_id in worker_ids:
+            jobs = self._jobs_owned_by(worker_id)
+            if self.tracer is not None:
+                now = self.clock()
+                for job in jobs:
+                    ctx = self._trace_ctx.get(job)
+                    if ctx is not None:
+                        # The request that was in flight on the dead worker is
+                        # marked failed in its own trace; the rebuild spans
+                        # that follow (via _migrate) attach alongside it.
+                        self.tracer.emit(
+                            self.tracer.child(ctx), "worker.lost",
+                            start_s=now, end_s=now, worker_id=worker_id,
+                            status="failed", annotations={"job": job},
+                        )
+            recovered = sum(
+                len(self._migrate(job, source=None)) for job in jobs
+            )
+            self.events.append(FailoverEvent(
+                at_s=self.clock(), kind="failover", worker_id=worker_id,
+                n_jobs=len(jobs), n_recovered=recovered,
+            ))
 
     def _handoff(self, worker_id: str, *, kind: str):
         """Retire a live worker: drain it, migrate its jobs, un-ring it."""

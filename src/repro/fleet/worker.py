@@ -8,13 +8,16 @@ tests kill it at an exact tick.
 
 Two interchangeable implementations share the same surface (``submit`` /
 ``step`` / ``drain`` / ``end_session`` / ``rebuild_session`` /
-``metrics_registry``):
+``metrics_registry``).  ``step`` and ``drain`` also come split in two,
+``start(op)`` then ``finish(op)``, so that the router can set every
+worker computing before it waits for any of them:
 
 * :class:`FleetWorker` — in-process.  Everything happens synchronously on
   the shared clock; the deterministic choice for tests and the bench's
   parity gates.  "Death" is the crash fault point raising — the worker
   marks itself dead and every later call raises
-  :class:`WorkerUnavailable`.
+  :class:`WorkerUnavailable`.  ``start`` does nothing and ``finish`` runs
+  the whole op.
 * :class:`SubprocessWorker` — the same worker inside a spawned child
   process (the :mod:`repro.parallel` convention: spawn context, never
   fork), driven over a pipe.  Admission runs in the parent: ``submit``
@@ -27,7 +30,9 @@ Two interchangeable implementations share the same surface (``submit`` /
   router turns into a failover.  The parent timestamps every message
   with the shared clock and the child syncs its private clock before
   acting, so a subprocess fleet replays the exact schedule of an
-  in-process one (pinned by the crash test suite).
+  in-process one (pinned by the crash test suite).  ``start`` sends the
+  op's message and ``finish`` reads its reply; until then the worker
+  refuses every other call, so no reply is ever read by the wrong one.
 """
 
 from __future__ import annotations
@@ -57,6 +62,11 @@ from repro.serve.server import (
 )
 
 __all__ = ["WorkerUnavailable", "FleetWorker", "SubprocessWorker"]
+
+_PIPE_ERRORS = (EOFError, BrokenPipeError, ConnectionResetError, OSError)
+
+#: The ops a worker runs as ``start(op)`` then ``finish(op)``.
+_SPLIT_OPS = ("step", "drain")
 
 
 class WorkerUnavailable(RuntimeError):
@@ -182,6 +192,15 @@ class FleetWorker:
         """Graceful shutdown of the replica: flush everything queued."""
         self._check_alive()
         return self.server.drain()
+
+    def start(self, op: str) -> None:
+        """First half of ``op`` (``"step"`` or ``"drain"``): nothing here."""
+        if op not in _SPLIT_OPS:
+            raise ValueError(f"cannot start {op!r}")
+
+    def finish(self, op: str) -> list[Emission]:
+        """Second half of ``op``: the whole :meth:`step` or :meth:`drain`."""
+        return self.step() if op == "step" else self.drain()
 
     def end_session(self, job_id) -> bool:
         """Discard one job's session state (migrated away or finished)."""
@@ -313,7 +332,10 @@ class SubprocessWorker:
     child in the step request, and ``drain`` ships the rest; every other
     method is one synchronous request/response round trip, and
     ``metrics_registry`` merges the child's snapshot with the parent's
-    ingress metrics.
+    ingress metrics.  ``start(op)`` sends a step or drain request without
+    waiting; ``finish(op)`` reads its reply.  In between, every other
+    call raises :class:`RuntimeError`: it would read the outstanding
+    reply as its own.
 
     A child that dies (crash, SIGKILL, OOM) surfaces as
     :class:`WorkerUnavailable` from the next call that touches the
@@ -351,6 +373,8 @@ class SubprocessWorker:
         self._heartbeat = heartbeat
         self.trace_sink = trace_sink
         self._alive = True
+        #: The op whose reply is sent for but not yet read, if any.
+        self._pending: str | None = None
         self._ingress = IngressQueue(config or ServeConfig(), MetricsRegistry())
         ctx = mp.get_context("spawn")   # fork is unsafe with threaded BLAS
         self._conn, child_conn = ctx.Pipe()
@@ -406,20 +430,36 @@ class SubprocessWorker:
         """Re-point at ``clock``; the child syncs via message timestamps."""
         self.clock = clock
 
-    def _check_alive(self) -> None:
+    def _check_ready(self, op: str) -> None:
+        """Raise unless ``op`` may go out now: alive, no reply outstanding."""
         if not self._alive:
             raise WorkerUnavailable(f"worker {self.worker_id} is dead")
+        if self._pending is not None:
+            raise RuntimeError(
+                f"worker {self.worker_id} cannot {op}: the reply to its "
+                f"{self._pending} is unread")
 
-    def _call(self, op: str, *args):
-        self._check_alive()
+    def _died(self, op: str) -> WorkerUnavailable:
+        self.kill()                     # reap the dead child
+        return WorkerUnavailable(
+            f"worker {self.worker_id} process died mid-{op}")
+
+    def _send(self, op: str, *args) -> None:
         try:
             self._conn.send((op, self.clock(), *args))
+        except _PIPE_ERRORS as exc:
+            raise self._died(op) from exc
+        self._pending = op
+
+    def _recv(self):
+        """Read the reply to the outstanding op."""
+        op, self._pending = self._pending, None
+        if not self._alive:             # killed while the reply was due
+            raise WorkerUnavailable(f"worker {self.worker_id} is dead")
+        try:
             status, result, spans = self._conn.recv()
-        except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
-            self.kill()                 # reap the dead child
-            raise WorkerUnavailable(
-                f"worker {self.worker_id} process died mid-{op}"
-            ) from exc
+        except _PIPE_ERRORS as exc:
+            raise self._died(op) from exc
         if spans and self.trace_sink is not None:
             # Merge even on "err": spans describe work that did complete
             # in the child before the failure.
@@ -434,30 +474,62 @@ class SubprocessWorker:
             self._heartbeat.beat(self.worker_id)
         return result
 
+    def _call(self, op: str, *args):
+        """One synchronous round trip."""
+        self._check_ready(op)
+        self._send(op, *args)
+        return self._recv()
+
     # ------------------------------------------------------------------
     def submit(self, job_id, samples, *, trace=None) -> SubmitResult:
         """Admit one chunk into the parent-side queue (no pipe call)."""
-        self._check_alive()
+        self._check_ready("submit")
         return self._ingress.admit(job_id, samples, trace)
+
+    def start(self, op: str) -> None:
+        """Send ``op`` (``"step"`` or ``"drain"``) without waiting.
+
+        A step ships up to ``capacity_per_step`` queued chunks, a drain
+        ships all of them.  The child serves them while the caller goes
+        on; :meth:`finish` reads the result.
+        """
+        if op not in _SPLIT_OPS:
+            raise ValueError(f"cannot start {op!r}")
+        self._check_ready(op)
+        self._send(op, self._ingress.take(
+            self.capacity_per_step if op == "step" else None))
+
+    def finish(self, op: str) -> list[Emission]:
+        """Read the emissions of the ``op`` that :meth:`start` sent."""
+        if self._pending != op:
+            raise RuntimeError(
+                f"worker {self.worker_id} has no {op} reply outstanding "
+                f"(outstanding: {self._pending})")
+        emissions = self._recv()
+        if op == "drain":
+            self._ingress.draining = True
+        return emissions
 
     def step(self) -> list[Emission]:
         """Ship up to ``capacity_per_step`` chunks; serve one child tick."""
-        return self._call("step", self._ingress.take(self.capacity_per_step))
+        self.start("step")
+        return self.finish("step")
 
     def drain(self) -> list[Emission]:
         """Ship every queued chunk and flush the child replica."""
-        emissions = self._call("drain", self._ingress.take())
-        self._ingress.draining = True
-        return emissions
+        self.start("drain")
+        return self.finish("drain")
 
     def end_session(self, job_id) -> bool:
         """Drop the job's queued chunks here, then its session in the child."""
+        self._check_ready("end_session")
         self._ingress.drop_job(job_id)
         return self._call("end_session", job_id)
 
     def rebuild_session(self, job_id, rows, *, emit_after_index: int = -1,
                         trace=None):
         """Failover adoption in the child (rows cross the pipe once)."""
+        self._check_ready("rebuild_session")
         self._ingress.drop_job(job_id)
         return self._call(
             "rebuild_session", job_id, np.ascontiguousarray(rows),

@@ -1,8 +1,8 @@
 """Subprocess worker tests: real process isolation, real SIGKILL.
 
-Kept deliberately small (few jobs, few ticks, at most one child process
-per test) — every subprocess step is a pipe round trip on a
-spawn-context child, which is slow on CI boxes.
+Kept deliberately small (few jobs, few ticks, at most two child
+processes per test) — every subprocess step is a pipe round trip on a
+spawn-context child, and spawning one is slow on CI boxes.
 """
 
 import multiprocessing as mp
@@ -14,7 +14,7 @@ import pytest
 
 from repro.fleet import FleetRouter, FleetWorker, SubprocessWorker, WorkerUnavailable
 from repro.fleet.ring import HashRing
-from repro.resilience.faults import FaultSpec
+from repro.resilience.faults import FaultSpec, inject
 from repro.serve import FleetLoadGenerator, ServeConfig, SimulatedClock, SubmitResult
 from repro.trace import TraceQuery, TraceSink, Tracer
 from tests.stubs import ThresholdModel
@@ -371,3 +371,179 @@ def test_child_left_queued_check_survives_python_O():
     assert out.stdout.strip() == (
         "optimize 1 alive False | worker w0 failed step: "
         "RuntimeError: 1 chunks left queued after step")
+
+
+class _LoggedConn:
+    """Pipe end that appends ``(worker id, op)`` to a shared log for each
+    message the parent sends and ``(worker id, "recv")`` for each reply it
+    reads."""
+
+    def __init__(self, conn, worker_id, log):
+        self._conn = conn
+        self._worker_id = worker_id
+        self._log = log
+
+    def send(self, message):
+        self._log.append((self._worker_id, message[0]))
+        self._conn.send(message)
+
+    def recv(self):
+        self._log.append((self._worker_id, "recv"))
+        return self._conn.recv()
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def _subprocess_fleet(clock, gen, log, faults=None):
+    """A router over subprocess workers w0 and w1, their pipes logged."""
+    workers = []
+    for wid in ("w0", "w1"):
+        worker = SubprocessWorker(wid, ThresholdModel(), _config(),
+                                  clock=clock,
+                                  faults=(faults or {}).get(wid, ()))
+        worker._conn = _LoggedConn(worker._conn, wid, log)
+        workers.append(worker)
+    return workers, FleetRouter(workers, clock=clock,
+                                history=gen.job_stream)
+
+
+def _ordered(emissions):
+    return [(e.job_id, e.prediction.sample_index, e.prediction.label,
+             e.prediction.smoothed_label, e.prediction.confidence)
+            for e in emissions]
+
+
+def test_router_sends_every_step_before_reading_any_reply():
+    clock = SimulatedClock()
+    gen = _gen(clock)
+    log = []
+    workers, router = _subprocess_fleet(clock, gen, log)
+    try:
+        report = gen.run(router)
+        log = list(log)                 # before the close messages
+    finally:
+        for worker in workers:
+            worker.close()
+    overlapped = {op: [("w0", op), ("w1", op), ("w0", "recv"), ("w1", "recv")]
+                  for op in ("step", "drain")}
+    n_tick_messages = 4 * (report.n_ticks + 1)
+    assert log[:n_tick_messages] == (overlapped["step"] * report.n_ticks
+                                     + overlapped["drain"])
+    # Then one end_session round trip per job, on its owner.
+    rest = log[n_tick_messages:]
+    assert [op for _, op in rest] == ["end_session", "recv"] * gen.n_jobs
+    assert _trace(report.emissions) == _trace(_clean_twin().emissions)
+
+
+def test_lower_id_child_killed_mid_step_fails_over_like_in_process_twin():
+    # w0 SIGKILLs itself inside its third step (tick 2), after the router
+    # has already sent w1 its step: the death is seen while w1's reply is
+    # still unread.
+    clock = SimulatedClock()
+    gen = _gen(clock)
+    log = []
+    workers, router = _subprocess_fleet(
+        clock, gen, log,
+        faults={"w0": (FaultSpec("fleet.worker.crash", at_hit=3,
+                                 mode="kill"),)})
+    try:
+        report = gen.run(router)
+    finally:
+        for worker in workers:
+            worker.close()
+    # Tick 2: both steps went out, w0's recv failed, w1's was then read,
+    # and only after that did the failover's rebuilds go to w1.
+    tick2 = log[8:14]
+    assert tick2 == [("w0", "step"), ("w1", "step"), ("w0", "recv"),
+                     ("w1", "recv"), ("w1", "rebuild_session"),
+                     ("w1", "recv")]
+
+    # In-process twin: w0's crash fault point fires at the same step
+    # (hits alternate w0, w1 each tick, so tick 2's w0 step is hit 5).
+    twin_clock = SimulatedClock()
+    twin_gen = _gen(twin_clock)
+    twin_router = FleetRouter(
+        [FleetWorker(w, ThresholdModel(), _config(), clock=twin_clock)
+         for w in ("w0", "w1")],
+        clock=twin_clock, history=twin_gen.job_stream)
+    with inject(FaultSpec("fleet.worker.crash", at_hit=5, mode="raise")):
+        twin = twin_gen.run(twin_router)
+
+    assert _ordered(report.emissions) == _ordered(twin.emissions)
+    assert _trace(report.emissions) == _trace(_clean_twin().emissions)
+    assert router.events == twin_router.events
+    (event,) = router.events
+    assert (event.kind, event.worker_id) == ("failover", "w0")
+    assert event.n_jobs > 0 and event.n_recovered > 0
+    assert router.worker_ids == ["w1"]
+
+
+def test_worker_with_a_reply_outstanding_refuses_other_calls():
+    clock = SimulatedClock()
+    worker = SubprocessWorker("w0", ThresholdModel(), _config(), clock=clock)
+    worker._conn = conn = _CountingConn(worker._conn)
+    try:
+        assert worker.submit(0, np.ones((90, 7)))
+        worker.start("step")
+        for call in (lambda: worker.submit(0, np.ones((90, 7))),
+                     worker.step, worker.drain,
+                     lambda: worker.start("step"),
+                     lambda: worker.finish("drain"),
+                     lambda: worker.end_session(0),
+                     lambda: worker.rebuild_session(0, np.ones((90, 7))),
+                     worker.metrics_registry):
+            with pytest.raises(RuntimeError, match="step"):
+                call()
+        assert conn.ops == ["step"]             # nothing else went out
+        (emission,) = worker.finish("step")     # the step's own reply
+        assert (emission.job_id, emission.prediction.sample_index) == (0, 90)
+        assert worker.step() == []              # usable again
+        with pytest.raises(RuntimeError, match="no step reply"):
+            worker.finish("step")
+    finally:
+        worker.close()
+
+
+def test_two_children_killed_in_one_tick_fail_over_onto_the_survivor():
+    # w0 and w1 SIGKILL themselves in the same step (tick 2).  Both leave
+    # the ring before any job is rebuilt, so no rebuild is sent to a
+    # worker already found dead, and everything lands on w2.
+    kill = (FaultSpec("fleet.worker.crash", at_hit=3, mode="kill"),)
+    clock = SimulatedClock()
+    gen = _gen(clock)
+    subs = [SubprocessWorker(w, ThresholdModel(), _config(), clock=clock,
+                             faults=kill) for w in ("w0", "w1")]
+    router = FleetRouter(
+        [*subs, FleetWorker("w2", ThresholdModel(), _config(), clock=clock)],
+        clock=clock, history=gen.job_stream)
+    try:
+        report = gen.run(router)
+    finally:
+        for sub in subs:
+            sub.close()
+
+    # In-process twin: tick 2's w0 and w1 steps are crash hits 7 and 8.
+    twin_clock = SimulatedClock()
+    twin_gen = _gen(twin_clock)
+    twin_router = FleetRouter(
+        [FleetWorker(w, ThresholdModel(), _config(), clock=twin_clock)
+         for w in ("w0", "w1", "w2")],
+        clock=twin_clock, history=twin_gen.job_stream)
+    with inject(FaultSpec("fleet.worker.crash", at_hit=7, mode="raise"),
+                FaultSpec("fleet.worker.crash", at_hit=8, mode="raise")):
+        twin = twin_gen.run(twin_router)
+
+    clean_clock = SimulatedClock()
+    clean_gen = _gen(clean_clock)
+    clean = clean_gen.run(FleetRouter(
+        [FleetWorker(w, ThresholdModel(), _config(), clock=clean_clock)
+         for w in ("w0", "w1", "w2")],
+        clock=clean_clock, history=clean_gen.job_stream))
+
+    assert _ordered(report.emissions) == _ordered(twin.emissions)
+    assert _trace(report.emissions) == _trace(clean.emissions)
+    assert router.events == twin_router.events
+    assert [(e.kind, e.worker_id) for e in router.events] == [
+        ("failover", "w0"), ("failover", "w1")]
+    assert router.worker_ids == ["w2"]
