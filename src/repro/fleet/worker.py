@@ -200,6 +200,8 @@ class FleetWorker:
 
     def finish(self, op: str) -> list[Emission]:
         """Second half of ``op``: the whole :meth:`step` or :meth:`drain`."""
+        if op not in _SPLIT_OPS:
+            raise ValueError(f"cannot finish {op!r}")
         return self.step() if op == "step" else self.drain()
 
     def end_session(self, job_id) -> bool:
@@ -454,8 +456,6 @@ class SubprocessWorker:
     def _recv(self):
         """Read the reply to the outstanding op."""
         op, self._pending = self._pending, None
-        if not self._alive:             # killed while the reply was due
-            raise WorkerUnavailable(f"worker {self.worker_id} is dead")
         try:
             status, result, spans = self._conn.recv()
         except _PIPE_ERRORS as exc:
