@@ -16,6 +16,18 @@ hand-derived BPTT backward reads them.  Under
 backward closure, and a scratch of its own, so an eval pass leaves the
 training scratch alone.
 
+The gate sigmoids have two regimes.  When :func:`_gate_bound` proves
+every pre-activation of every direction within
+:data:`_SIGMOID_SAFE_MAX`, each step sigmoids the whole stacked gate row
+with the textbook form.  Otherwise each step runs
+:func:`_checked_gate_sigmoid`, one pass over the same row that picks the
+textbook or the overflow-free piecewise form per (direction, gate) block,
+as the reference's one checked call per block does; :func:`_step_regimes`
+proves most steps' blocks from ``x W_ih + b`` alone, so only the rest
+measure ``max|z|``.  Unscaled telemetry always takes the checked regime:
+raw served windows reach sensor values in the tens of thousands, and
+every block of every step is then piecewise.
+
 The per-op reference (textbook BPTT, fresh temporaries every step) lives
 in ``tests/oracles/nn.py``; ``tests/test_fused_backward.py`` and
 ``tests/test_perf_fastpaths.py`` pin outputs and gradients
@@ -64,37 +76,107 @@ def _sigmoid_unchecked(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable logistic sigmoid.
+def _checked_gate_sigmoid(z: np.ndarray, R: int, N: int, H: int, s: dict,
+                          safe: tuple | None) -> None:
+    """Sigmoid the stacked ``(R·N, 4H)`` gate row in place, one pass.
 
-    Small-magnitude inputs (the overwhelmingly common case for gate
-    pre-activations) take the textbook ``1/(1+exp(-x))`` form — three ufunc
-    passes.  When any ``|x|`` exceeds :data:`_SIGMOID_SAFE_MAX` the call
-    falls back to the piecewise form, where ``exp`` is only ever taken of
-    ``-|x|`` so large pre-activations (|x| ~ 100 and beyond) cannot
-    overflow: for ``x >= 0`` it is again ``1/(1+exp(-x))``; for ``x < 0``
-    the algebraically equal ``exp(x)/(1+exp(x))``.
+    Bit-identical to the reference's checked sigmoid called once per
+    (direction, gate) block: a block whose ``max|x|`` exceeds
+    :data:`_SIGMOID_SAFE_MAX` (or holds a NaN) takes the piecewise form
+    ``exp(-|x|)/(1+exp(-|x|))`` for ``not (x >= 0)`` and ``1/(1+exp(-|x|))``
+    otherwise; every other block takes the textbook ``1/(1+exp(-x))``.
+    Both reduce to ``num/(e+1)`` with ``e = exp(u)``:
 
-    The branch is chosen per *call* from the array's max magnitude, so two
-    calls on the same array always agree bit-for-bit.
+    * ``u = -|x|`` in a piecewise block and ``-x`` in a textbook block,
+      i.e. ``min(-x, x + big)`` with ``big`` 0 or +inf per block;
+    * ``num = min(max(e, x + big >= 0), 1)``: ``e`` for a piecewise
+      ``x < 0`` (or NaN) and 1 otherwise, since ``e <= 1`` in a
+      piecewise block.
+
+    Each step is exact (sign flips, ``min``/``max``, adding 0 or +inf), so
+    only ``exp`` rounds, on the same operand as the reference's; nothing
+    overflows, because ``u <= 75`` everywhere.  The ``g`` columns, whose
+    sigmoid is discarded, are always piecewise.
+
+    ``safe`` holds one flag per (direction, gate), row-major, as
+    :func:`_step_regimes` proves them; ``None`` measures each block's
+    ``max|x|`` here.  ``big`` is rewritten only when a block changes
+    regime, and with no textbook block (every step of a raw served
+    window) its two passes are skipped.
     """
-    if x.size and float(np.max(np.abs(x))) <= _SIGMOID_SAFE_MAX:
-        return _sigmoid_unchecked(x, np.empty_like(x) if out is None else out)
-    e = np.exp(-np.abs(x))
-    num = np.where(x >= 0.0, 1.0, e)
-    np.add(e, 1.0, out=e)
-    return np.divide(num, e, out=num if out is None else out)
+    nz, u, t, big, ge = s["nz"], s["u"], s["t"], s["big"], s["ge"]
+    np.multiply(z, -1.0, out=nz)
+    np.minimum(nz, z, out=u)                      # -|x|, NaN kept
+    if safe is None:
+        # -max|x| per block, the contiguous gate axis first; NaN is unsafe
+        blk = np.min(np.min(u.reshape(R, N, 4, H), axis=3), axis=1)
+        safe = tuple(v >= -_SIGMOID_SAFE_MAX and k != 2
+                     for row in blk.tolist() for k, v in enumerate(row))
+    if safe != s["safe"]:
+        big4 = big.reshape(R, N, 4, H)
+        for b, (new, old) in enumerate(zip(safe, s["safe"])):
+            if new != old:
+                big4[b // 4, :, b % 4] = np.inf if new else 0.0
+        s["safe"] = safe
+    textbook = any(safe)
+    if textbook:
+        np.add(z, big, out=t)
+        np.minimum(nz, t, out=u)
+    else:
+        t = z
+    np.greater_equal(t, 0.0, out=ge)
+    np.exp(u, out=u)
+    np.maximum(u, ge, out=nz)
+    if textbook:
+        np.minimum(nz, 1.0, out=nz)
+    np.add(u, 1.0, out=u)
+    np.divide(nz, u, out=z)
+
+
+def _step_regimes(zx: np.ndarray, dirs, N: int, T: int, H: int) -> list:
+    """Per step, the (direction, gate) regimes that ``zx`` alone proves.
+
+    With ``|h| <= 1``, gate ``k``'s pre-activations at step ``t`` satisfy
+    ``A - C <= max|z| <= A + C``, where ``A`` is the block's ``max|zx|``
+    and ``C`` the largest column sum of ``|W_hh|`` over the gate's columns
+    (the lower bound holds at the element where ``|zx|`` peaks).  Each
+    bound is widened by the float32 rounding of the ``H``-term product and
+    the add.  A step whose every block lands on one side of
+    :data:`_SIGMOID_SAFE_MAX` gets its flags for
+    :func:`_checked_gate_sigmoid`; any other step gets ``None`` and is
+    measured.  A NaN in ``zx`` can spread through ``h``, so then every
+    step is measured.
+    """
+    R = len(dirs)
+    z5 = zx.reshape(R, N, T, 4, H)
+    a = np.maximum(np.max(np.max(z5, axis=1), axis=3),
+                   -np.min(np.min(z5, axis=1), axis=3)).astype(np.float64)
+    if np.isnan(a).any():
+        return [None] * T
+    c = np.stack([np.abs(lstm.w_hh.data.astype(np.float64))
+                  .sum(axis=0).reshape(4, H).max(axis=1)
+                  for lstm, _reverse in dirs])[:, None, :]
+    slack = (H + 2) * 2.0 ** -23
+    safe = (a + c * (1 + slack)) * (1 + slack) <= _SIGMOID_SAFE_MAX
+    unsafe = (a - c * (1 + slack)) * (1 - slack) > _SIGMOID_SAFE_MAX
+    safe[:, :, 2] = False
+    unsafe[:, :, 2] = True
+    decided = (safe | unsafe).all(axis=(0, 2)).tolist()
+    flags = safe.transpose(1, 0, 2).reshape(T, R * 4).tolist()
+    return [tuple(f) if ok else None for f, ok in zip(flags, decided)]
 
 
 def _gate_bound(zx: np.ndarray, w_hh: np.ndarray) -> float:
     """Upper bound on any gate pre-activation magnitude for one direction.
 
     ``|z| = |x W_ih + b + h W_hh| <= max|x W_ih + b| + max_j Σ_k |W_hh[k,j]|``
-    since hidden states satisfy ``|h| = |o·tanh(c)| < 1``.  When the bound
-    is within :data:`_SIGMOID_SAFE_MAX`, *every* per-gate ``_sigmoid`` call
-    — any slicing — provably takes the unchecked branch, so the fused
-    kernel may call it directly over stacked rows and still match the
-    reference's per-direction, per-gate calls.
+    since hidden states satisfy ``|h| = |o·tanh(c)| <= 1``.  When the bound
+    of every direction is within :data:`_SIGMOID_SAFE_MAX`, every
+    per-block checked sigmoid of the reference provably takes its textbook
+    branch, so the fused kernel runs :func:`_sigmoid_unchecked` over the
+    whole stacked row.  Otherwise (always, for raw unscaled telemetry such
+    as the windows perfbench serves) each step takes the one-pass
+    :func:`_checked_gate_sigmoid`.  A NaN bound is never within range.
 
     ``zx`` is the already-computed ``x W_ih + b`` block (the kernel hands
     over its scratch, so the bound costs two reductions, not a duplicate
@@ -134,7 +216,12 @@ def _seq_scratch(host: Module, grad: bool, R: int, N: int, T: int, H: int,
     zeros = np.zeros((RN, H), dtype=np.float32)  # initial cell; never written
     s = {"key": (R, N, T, H, D), "xs": buf(RN, T, D), "zx": buf(RN, T, 4 * H),
          "zh": buf(RN, 4 * H), "z": buf(RN, 4 * H), "h": buf(RN, H),
-         "ig": buf(RN, H)}
+         "ig": buf(RN, H),
+         # _checked_gate_sigmoid: every block starts piecewise (big = 0)
+         "nz": buf(RN, 4 * H), "u": buf(RN, 4 * H), "t": buf(RN, 4 * H),
+         "big": np.zeros((RN, 4 * H), dtype=np.float32),
+         "ge": np.empty((RN, 4 * H), dtype=bool),
+         "safe": (False,) * (4 * R)}
     if not grad:
         gates, c, tc = buf(4, RN, H), buf(RN, H), buf(RN, H)
         s["steps"] = [(gates, *gates, c if t else zeros, c, tc)
@@ -176,8 +263,9 @@ def _fused_seq_forward(x: Tensor, dirs, host: Module) -> Tensor:
     built.
 
     When a direction's pre-activation bound exceeds the sigmoid fast-path
-    range, the gate sigmoids fall back to the checked :func:`_sigmoid`,
-    called per direction and gate slice exactly as the reference calls it.
+    range, each step's gate sigmoids take :func:`_checked_gate_sigmoid`:
+    one pass that chooses the branch per direction and gate block exactly
+    as the reference's per-block checked calls do.
 
     Outputs and gradients are bit-identical to the per-direction reference
     in ``tests/oracles/nn.py``: every elementwise op rounds per element
@@ -193,15 +281,16 @@ def _fused_seq_forward(x: Tensor, dirs, host: Module) -> Tensor:
     grad = is_grad_enabled()
     s = _seq_scratch(host, grad, R, N, T, H, D)
     xs, zx = s["xs"], s["zx"]
-    bound = 0.0
+    safe = True
     for d, (lstm, reverse) in enumerate(dirs):
         sl = slice(d * N, (d + 1) * N)
         np.copyto(xs[sl], x.data[:, ::-1] if reverse else x.data)
         zx2 = zx[sl].reshape(N * T, 4 * H)
         np.matmul(xs[sl].reshape(N * T, D), lstm.w_ih.data, out=zx2)
         np.add(zx[sl], lstm.bias.data, out=zx[sl])
-        bound = max(bound, _gate_bound(zx[sl], lstm.w_hh.data))
-    safe = bound <= _SIGMOID_SAFE_MAX
+        # A NaN bound compares False, so a NaN input is never "safe".
+        safe &= _gate_bound(zx[sl], lstm.w_hh.data) <= _SIGMOID_SAFE_MAX
+    regimes = None if safe else _step_regimes(zx, dirs, N, T, H)
 
     zh, z, h, ig, steps = s["zh"], s["z"], s["h"], s["ig"], s["steps"]
     out = np.empty((N, T, R * H), dtype=np.float32)
@@ -211,21 +300,18 @@ def _fused_seq_forward(x: Tensor, dirs, host: Module) -> Tensor:
             sl = slice(d * N, (d + 1) * N)
             np.matmul(h[sl], lstm.w_hh.data, out=zh[sl])
         np.add(zx[:, t], zh, out=z)
-        gt, i_v, f_v, g_v, o_v, c_prev, ct, tc = steps[t]
+        _gt, i_v, f_v, g_v, o_v, c_prev, ct, tc = steps[t]
         np.tanh(z[:, 2 * H:3 * H], out=g_v)
+        # Sigmoid the *whole* z row in place: one contiguous 4H-wide
+        # pass beats three strided column-slice passes even though the
+        # g columns' sigmoid output is discarded.
         if safe:
-            # Sigmoid the *whole* z row in place: one contiguous 4H-wide
-            # pass beats three strided column-slice passes even though the
-            # g columns' sigmoid output is discarded.
             _sigmoid_unchecked(z, out=z)
-            np.copyto(i_v, z[:, :H])
-            np.copyto(f_v, z[:, H:2 * H])
-            np.copyto(o_v, z[:, 3 * H:])
         else:
-            for d in range(R):
-                sl = slice(d * N, (d + 1) * N)
-                for k in (0, 1, 3):
-                    _sigmoid(z[sl, k * H:(k + 1) * H], out=gt[k, sl])
+            _checked_gate_sigmoid(z, R, N, H, s, regimes[t])
+        np.copyto(i_v, z[:, :H])
+        np.copyto(f_v, z[:, H:2 * H])
+        np.copyto(o_v, z[:, 3 * H:])
         np.multiply(i_v, g_v, out=ig)
         np.multiply(f_v, c_prev, out=ct)
         np.add(ct, ig, out=ct)

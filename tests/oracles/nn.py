@@ -10,8 +10,9 @@ mirror the textbook recurrences, so they read end to end.
 * :func:`conv1d_forward`, :func:`maxpool1d_forward` — the training
   forwards with allocating backward closures (same contractions, same
   scatter order as the fused ones);
-* :func:`lstm_forward` — one direction, per-step ``_sigmoid`` calls per
-  gate slice, textbook BPTT backward;
+* :func:`_sigmoid` — the checked sigmoid, textbook or piecewise per call;
+* :func:`lstm_forward` — one direction, per-step :func:`_sigmoid` calls
+  per gate slice, textbook BPTT backward;
 * :func:`bilstm_forward`, :func:`bilstm_final_states` — two
   :func:`lstm_forward` passes concatenated, and the ``__getitem__`` +
   concatenate head.
@@ -30,7 +31,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.layers.conv import Conv1d, MaxPool1d
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.rnn import BiLSTM, LSTM, _sigmoid
+from repro.nn.layers.rnn import (
+    _SIGMOID_SAFE_MAX, BiLSTM, LSTM, _sigmoid_unchecked,
+)
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
@@ -39,6 +42,28 @@ __all__ = [
     "lstm_forward", "bilstm_forward", "bilstm_final_states",
     "use_reference",
 ]
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic sigmoid, the kernel's per-block contract.
+
+    Small-magnitude inputs take the textbook ``1/(1+exp(-x))`` form.  When
+    any ``|x|`` exceeds :data:`_SIGMOID_SAFE_MAX` (or ``x`` holds a NaN)
+    the call falls back to the piecewise form, where ``exp`` is only ever
+    taken of ``-|x|`` so large pre-activations cannot overflow: for
+    ``x >= 0`` it is again ``1/(1+exp(-x))``; otherwise the algebraically
+    equal ``exp(x)/(1+exp(x))``.
+
+    The branch is chosen per *call* from the array's max magnitude, so the
+    LSTM kernel, which sigmoids every (direction, gate) block of a step in
+    one pass, must choose it per block exactly as one call per block would.
+    """
+    if x.size and float(np.max(np.abs(x))) <= _SIGMOID_SAFE_MAX:
+        return _sigmoid_unchecked(x, np.empty_like(x) if out is None else out)
+    e = np.exp(-np.abs(x))
+    num = np.where(x >= 0.0, 1.0, e)
+    np.add(e, 1.0, out=e)
+    return np.divide(num, e, out=num if out is None else out)
 
 
 def linear_forward(layer: Linear, x: Tensor) -> Tensor:

@@ -15,14 +15,16 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.nn.layers.conv import Conv1d, MaxPool1d
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.rnn import _SIGMOID_SAFE_MAX, BiLSTM, LSTM, _gate_bound
+from repro.nn.layers.rnn import (
+    _SIGMOID_SAFE_MAX, BiLSTM, LSTM, _gate_bound, _step_regimes,
+)
 from repro.nn.optim.adam import Adam
 from repro.nn.tensor import Tensor, no_grad
-from tests.oracles.nn import use_reference
+from tests.oracles.nn import bilstm_forward, lstm_forward, use_reference
 
 
 def _twin_grads(make_layer, x_shape, seed):
@@ -179,6 +181,173 @@ class TestSigmoidRangeFallback:
         assert grads.keys() == ref_grads.keys()
         for key in grads:
             assert np.array_equal(grads[key], ref_grads[key]), key
+
+
+def _directions(layer, reverse):
+    if isinstance(layer, BiLSTM):
+        return [(layer.fw, False), (layer.bw, True)]
+    return [(layer, reverse)]
+
+
+def _block_maxima(layer, x_data, reverse):
+    """``max|z|`` of every (step, direction, gate) block, replayed from the
+    oracle's hidden states exactly as the oracle forms ``z``."""
+    dirs = _directions(layer, reverse)
+    out = (bilstm_forward(layer, Tensor(x_data)) if isinstance(layer, BiLSTM)
+           else lstm_forward(layer, Tensor(x_data), reverse=reverse)).data
+    N, T, _D = x_data.shape
+    H = dirs[0][0].hidden_size
+    maxima = np.empty((T, len(dirs), 4), dtype=np.float32)
+    for d, (lstm, rev) in enumerate(dirs):
+        xs = np.ascontiguousarray(x_data[:, ::-1]) if rev else x_data
+        hs = out[:, ::-1, d * H:(d + 1) * H] if rev \
+            else out[:, :, d * H:(d + 1) * H]
+        zx = (xs.reshape(N * T, -1) @ lstm.w_ih.data).reshape(N, T, 4 * H) \
+            + lstm.bias.data
+        h = np.zeros((N, H), dtype=np.float32)
+        for t in range(T):
+            z = zx[:, t] + h @ lstm.w_hh.data
+            maxima[t, d] = np.abs(z).reshape(N, 4, H).max(axis=(0, 2))
+            h = np.ascontiguousarray(hs[:, t])
+    return maxima
+
+
+# Raw-telemetry magnitudes (served windows reach ~3e4), sequences whose
+# magnitude ramps through the safe range, one gate's input weights
+# scaled up so that its blocks leave the safe range while the others stay
+# in it, and a non-finite input element.
+lstm_case = st.fixed_dictionaries(
+    {
+        "cls": st.sampled_from([LSTM, BiLSTM]),
+        "n": st.integers(1, 4),
+        "t": st.integers(1, 9),
+        "d": st.integers(1, 4),
+        "h": st.integers(1, 6),
+        "reverse": st.booleans(),
+        "scale": st.floats(-1.0, 4.47).map(lambda e: 10.0 ** e),  # to 3e4
+        "ramp": st.booleans(),
+        "hot_gate": st.sampled_from([None, 0, 1, 2, 3]),
+        "special": st.sampled_from([None, np.inf, -np.inf, np.nan]),
+        "seed": st.integers(0, 2**32 - 1),
+    }
+)
+
+MIXED = {"cls": BiLSTM, "n": 3, "t": 6, "d": 3, "h": 4, "reverse": False,
+         "scale": 0.5, "ramp": False, "hot_gate": 1, "special": None,
+         "seed": 7}
+CROSSING = {"cls": LSTM, "n": 2, "t": 8, "d": 3, "h": 5, "reverse": True,
+            "scale": 60.0, "ramp": True, "hot_gate": None, "special": None,
+            "seed": 3}
+
+
+def _case_inputs(case):
+    rng = np.random.default_rng(case["seed"])
+    layer = case["cls"](case["d"], case["h"], rng=case["seed"])
+    if case["hot_gate"] is not None:
+        # only the first direction, so a BiLSTM mixes across directions too
+        lstm = layer.fw if isinstance(layer, BiLSTM) else layer
+        k, H = case["hot_gate"], case["h"]
+        lstm.w_ih.data[:, k * H:(k + 1) * H] *= 1000.0
+    shape = (case["n"], case["t"], case["d"])
+    x = rng.standard_normal(shape) * case["scale"]
+    if case["ramp"]:
+        x *= np.linspace(0.0, 2.0, case["t"])[None, :, None]
+    if case["special"] is not None:
+        x[tuple(int(rng.integers(0, s)) for s in shape)] = case["special"]
+    width = case["h"] * (2 if case["cls"] is BiLSTM else 1)
+    cot = rng.standard_normal((case["n"], case["t"], width))
+    reverse = case["reverse"] and case["cls"] is LSTM
+    return layer, x.astype(np.float32), cot.astype(np.float32), reverse
+
+
+class TestCheckedSigmoidSweep:
+    """Random layers past the safe range, up to raw-telemetry scale: the
+    one-pass per-block sigmoid equals the oracle's per-block calls, array
+    for array, in both modes; NaN lands in the same places."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lstm_case)
+    @example({**MIXED}).via("some blocks safe, others not, in one step")
+    @example({**CROSSING}).via("blocks cross 75 mid-sequence")
+    @example({**MIXED, "special": np.inf}).via("+inf input")
+    @example({**CROSSING, "special": -np.inf}).via("-inf input")
+    @example({**MIXED, "special": np.nan}).via("NaN input")
+    def test_matches_oracle(self, case):
+        layer, x, cot, reverse = _case_inputs(case)
+        ref_layer = _case_inputs(case)[0]
+        with np.errstate(over="raise", invalid="ignore"):
+            out, eval_out, grads = _run(layer, x, cot, reverse)
+            ref_out, ref_eval, ref_grads = _run(use_reference(ref_layer), x,
+                                                cot, reverse)
+        assert np.array_equal(out, ref_out, equal_nan=True)
+        assert np.array_equal(eval_out, ref_out, equal_nan=True)
+        assert np.array_equal(ref_eval, ref_out, equal_nan=True)
+        assert grads.keys() == ref_grads.keys()
+        for key in grads:
+            assert np.array_equal(grads[key], ref_grads[key],
+                                  equal_nan=True), key
+
+    def test_examples_cover_mixed_and_crossing_steps(self):
+        safe = {}
+        for name, case in (("mixed", MIXED), ("crossing", CROSSING)):
+            layer, x, _cot, reverse = _case_inputs(case)
+            m = _block_maxima(layer, x, reverse)[:, :, [0, 1, 3]]
+            safe[name] = m <= _SIGMOID_SAFE_MAX
+        step_mixed = safe["mixed"].any(axis=(1, 2)) \
+            & ~safe["mixed"].all(axis=(1, 2))
+        assert step_mixed.all()
+        crossing = safe["crossing"].any(axis=0) & ~safe["crossing"].all(axis=0)
+        assert crossing.any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(lstm_case)
+    def test_proven_regimes_hold(self, case):
+        """Every regime the kernel takes from ``zx`` bounds, without
+        measuring ``z``, is the one the step's ``z`` really has."""
+        layer, x, _cot, reverse = _case_inputs(case)
+        _assert_proven_regimes_hold(layer, x, reverse)
+
+    def test_recurrence_pulls_a_block_back_into_range(self):
+        # Step 1's input gate has |x W_ih| = 76 but h_0 W_hh adds about
+        # +2, so its z is about -74: safe, though |zx| alone says
+        # otherwise.  The f and o gates stay provably safe.
+        def make_layer():
+            layer = LSTM(1, 1, rng=0)
+            layer.w_ih.data[:] = [[1.0, 0.01, 1.0, 0.01]]
+            layer.w_hh.data[:] = [[8.0, 0.0, 0.0, 0.0]]
+            layer.bias.data[:] = 0.0
+            return layer
+
+        x = np.array([[[1.0], [-76.0]]], dtype=np.float32)
+        maxima = _block_maxima(make_layer(), x, False)
+        assert 70 < maxima[1, 0, 0] <= _SIGMOID_SAFE_MAX
+        _assert_proven_regimes_hold(make_layer(), x, False)
+        cot = np.ones((1, 2, 1), dtype=np.float32)
+        with np.errstate(over="raise"):
+            out, eval_out, grads = _run(make_layer(), x, cot, False)
+            ref_out, _ref_eval, ref_grads = _run(
+                use_reference(make_layer()), x, cot, False)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(eval_out, ref_out)
+        for key in grads:
+            assert np.array_equal(grads[key], ref_grads[key]), key
+
+
+def _assert_proven_regimes_hold(layer, x, reverse):
+    dirs = _directions(layer, reverse)
+    N, T, _D = x.shape
+    H = dirs[0][0].hidden_size
+    with np.errstate(over="ignore", invalid="ignore"):
+        zx = np.concatenate([
+            ((x[:, ::-1] if rev else x) @ lstm.w_ih.data + lstm.bias.data)
+            for lstm, rev in dirs])
+        proven = _step_regimes(zx, dirs, N, T, H)
+        maxima = _block_maxima(layer, x, reverse)
+    for t, flags in enumerate(proven):
+        if flags is not None:
+            real = [bool(v <= _SIGMOID_SAFE_MAX) and k != 2
+                    for row in maxima[t] for k, v in enumerate(row)]
+            assert list(flags) == real, t
 
 
 class TestKernelGuards:

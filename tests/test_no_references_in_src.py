@@ -15,7 +15,7 @@ SRC = Path(repro.__file__).resolve().parent
 
 
 def _banned(name: str) -> bool:
-    return (name in ("fused_backward", "best_split_gini")
+    return (name in ("fused_backward", "best_split_gini", "_sigmoid")
             or name.endswith("_slow"))
 
 

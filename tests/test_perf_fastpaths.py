@@ -19,13 +19,12 @@ from repro.ml.ensemble.forest import RandomForestClassifier
 from repro.ml.tree.flat import FlatForest
 from repro.nn import BiLSTM, LSTM, Tensor
 from repro.nn.layers.conv import Conv1d, MaxPool1d
-from repro.nn.layers.rnn import _sigmoid
 from repro.nn.tensor import is_grad_enabled, no_grad
 from repro.serve.batcher import MicroBatcher
 from repro.serve.session import StreamSession
 from repro.simcluster.sensors import N_GPU_SENSORS
 from tests.oracles.nn import (
-    bilstm_forward, conv1d_forward, lstm_forward, maxpool1d_forward,
+    _sigmoid, bilstm_forward, conv1d_forward, lstm_forward, maxpool1d_forward,
 )
 from tests.oracles.trees import boosting_margins, forest_predict_proba
 from tests.stubs import MeanSignModel
