@@ -105,6 +105,8 @@ def main() -> None:
           "matches the unfailed run exactly")
 
     # 5. One fleet-wide operator view — counters add, histograms merge.
+    #    The dead worker's counters stay in it, so the fleet counts every
+    #    prediction it delivered.
     fleet = router.fleet_metrics()
     print(f"\nfleet metrics after recovery "
           f"({int(fleet.gauge('fleet.workers').value)} workers):")
@@ -112,6 +114,10 @@ def main() -> None:
                  "fleet.sessions.migrated", "fleet.predictions.recovered",
                  "predictions.emitted"):
         print(f"  {name:<30} {fleet.counter(name).value}")
+    emitted = fleet.counter("predictions.emitted").value
+    if emitted != len(failed.emissions):
+        raise SystemExit(f"metrics: the fleet counts {emitted} predictions "
+                         f"emitted but delivered {len(failed.emissions)}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ drives it unchanged) but fans the work across N workers:
 * **Aggregation** — :meth:`fleet_metrics` merges every worker's registry
   with the router's own (counters add, gauges sum, histogram
   percentiles over the union of samples), giving the operator one
-  fleet-wide view — the signal the autoscaler consumes.
+  fleet-wide view — the signal the autoscaler consumes.  A removed
+  worker's counters and histograms stay in that view.
 * **Scatter/gather** — :meth:`step` and :meth:`drain` first start the op
   on every live worker, then collect the replies in sorted-id order, so
   subprocess workers compute at the same time.  Workers found dead fail
@@ -109,6 +110,8 @@ class FleetRouter:
             # beats on the shared clock.
             health.clock = clock
         self.metrics = MetricsRegistry()
+        #: counters and histograms of the workers that left the fleet
+        self._retired = MetricsRegistry()
         self.rebuilder = SessionRebuilder(history)
         self._workers: dict[str, object] = {}
         self.ring = HashRing(vnodes=vnodes, salt=salt)
@@ -183,8 +186,13 @@ class FleetRouter:
         return worker_id
 
     def fleet_metrics(self) -> MetricsRegistry:
-        """Fleet-wide registry: the router's own + every worker's, merged."""
-        merged = MetricsRegistry().merge(self.metrics)
+        """Fleet-wide registry: the router's own + every worker's, merged.
+
+        Workers that failed over or were retired count with the counters
+        and histograms they last reported (see :meth:`_retire_metrics`),
+        so ``predictions.emitted`` covers every prediction delivered.
+        """
+        merged = MetricsRegistry().merge(self.metrics).merge(self._retired)
         for worker_id in sorted(self._workers):
             try:
                 merged.merge(self._workers[worker_id].metrics_registry())
@@ -450,7 +458,7 @@ class FleetRouter:
         given.
         """
         for worker_id in worker_ids:
-            self._workers.pop(worker_id)
+            self._retire_metrics(self._workers.pop(worker_id))
             self.ring.remove(worker_id)
             if self.health is not None:
                 self.health.deregister(worker_id)
@@ -505,8 +513,25 @@ class FleetRouter:
             except WorkerUnavailable:
                 pass
             recovered += len(self._migrate(job, source=None))
+        self._retire_metrics(worker)
         self.events.append(FailoverEvent(
             at_s=self.clock(), kind=kind, worker_id=worker_id,
             n_jobs=len(jobs), n_recovered=recovered,
         ))
         return worker
+
+    def _retire_metrics(self, worker) -> None:
+        """Keep a leaving worker's counters and histograms in the fleet view.
+
+        Its gauges are dropped: its sessions now live on the survivors.
+        An in-process :class:`~repro.fleet.worker.FleetWorker` stays
+        readable after it dies.  A SIGKILLed
+        :class:`~repro.fleet.worker.SubprocessWorker` raises
+        :class:`WorkerUnavailable` instead, so its child's counters are
+        lost and the fleet view undercounts what it emitted.
+        """
+        try:
+            registry = worker.metrics_registry()
+        except WorkerUnavailable:
+            return
+        self._retired.merge(registry.cumulative())

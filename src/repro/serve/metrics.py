@@ -231,6 +231,18 @@ class MetricsRegistry:
             self.histogram(name, capacity=hist.capacity).merge(hist)
         return self
 
+    def cumulative(self) -> "MetricsRegistry":
+        """A copy of the counters and histograms, without the gauges.
+
+        Counters and histograms record what happened; gauges hold a live
+        level (queue depth, active sessions) that stops being true once
+        the component is gone.  The fleet router keeps this much of a
+        worker it removes.
+        """
+        out = MetricsRegistry().merge(self)
+        out._gauges.clear()
+        return out
+
     def as_dict(self) -> dict:
         """Snapshot every metric as plain values (histograms summarized)."""
         out: dict = {}

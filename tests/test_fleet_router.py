@@ -542,3 +542,27 @@ class TestMetricsMerge:
         assert fleet.counter("fleet.chunks.routed").value == (
             router.metrics.counter("fleet.chunks.routed").value)
         assert fleet.gauge("fleet.workers").value == 3
+
+    @pytest.mark.parametrize("event", ["failover", "scale-down"])
+    def test_fleet_metrics_count_predictions_of_departed_workers(self, event):
+        clock = SimulatedClock()
+        gen = _gen(clock)
+        router = _fleet(3, clock, history=gen.job_stream)
+        victim = router.owner_of(0)
+
+        def on_tick(tick, emissions):
+            if tick == 4 and victim in router.worker_ids:
+                if event == "failover":
+                    router.worker(victim).kill()
+                else:
+                    router.remove_worker(victim)
+
+        report = gen.run(router, on_tick=on_tick)
+        assert victim not in router.worker_ids
+        assert [e.kind for e in router.events] == [event]
+        fleet = router.fleet_metrics()
+        assert fleet.counter("predictions.emitted").value == \
+            len(report.emissions)
+        # the departed worker's gauges are not summed in: its sessions
+        # were rebuilt on the survivors
+        assert fleet.gauge("sessions.active").value == router.n_sessions
