@@ -29,9 +29,10 @@ class Adam(Optimizer):
         b1, b2 = betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+        # Python floats, so no scalar's type can change the arithmetic
+        self.betas = (float(b1), float(b2))
+        self.eps = float(eps)
+        self.weight_decay = float(weight_decay)
         self.decoupled_weight_decay = decoupled_weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -63,46 +64,31 @@ class Adam(Optimizer):
     def step(self) -> None:
         """Apply one optimization update from accumulated gradients.
 
-        When every scalar hyperparameter is a Python float (NEP 50 weak
-        promotion: all arithmetic stays float32) the update runs through
-        preallocated scratch buffers — the same ufunc sequence as the
-        allocating form, so results are bit-identical.  A non-float scalar
-        (e.g. a schedule-set ``np.float64`` lr, which intentionally promotes
-        the update to float64) takes the legacy allocating path so the
-        historical promotion behaviour is preserved exactly.
+        One in-place ufunc sequence over two per-parameter scratch buffers.
+        ``eps``, ``betas`` and ``weight_decay`` are Python floats, so the
+        moments and the update stay float32 (NEP 50 weak promotion).  The
+        last multiply, ``lr * update``, follows ``lr``'s type: a Python
+        float keeps it float32, while the ``np.float64`` that
+        :class:`~repro.nn.optim.schedulers.CyclicCosineLR` sets promotes it
+        to float64 before the subtraction rounds it back into the weights.
+        The allocating form this replaces is kept as a parity oracle in
+        ``tests/oracles/nn.py``.
         """
         self._t += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self._t
         bc2 = 1.0 - b2**self._t
         wd = self.weight_decay
-        fast = (
-            type(self.lr) is float and type(self.eps) is float
-            and type(b1) is float and type(b2) is float
-            and (not wd or type(wd) is float)
-        )
-        if fast and self._scratch is None:
+        if self._scratch is None:
             self._scratch = [
                 (np.empty_like(p.data), np.empty_like(p.data))
                 for p in self.params
             ]
-        for i, (p, m, v) in enumerate(zip(self.params, self._m, self._v)):
+        for p, m, v, (u, w) in zip(self.params, self._m, self._v,
+                                   self._scratch):
             if p.grad is None:
                 continue
             g = p.grad
-            if not fast:
-                if wd and not self.decoupled_weight_decay:
-                    g = g + wd * p.data
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * g * g
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-                if wd and self.decoupled_weight_decay:
-                    update = update + wd * p.data
-                p.data -= self.lr * update
-                continue
-            u, w = self._scratch[i]
             if wd and not self.decoupled_weight_decay:
                 np.multiply(p.data, wd, out=w)
                 np.add(g, w, out=w)
@@ -122,5 +108,4 @@ class Adam(Optimizer):
             if wd and self.decoupled_weight_decay:
                 np.multiply(p.data, wd, out=w)
                 np.add(u, w, out=u)
-            np.multiply(u, self.lr, out=u)
-            p.data -= u
+            p.data -= self.lr * u

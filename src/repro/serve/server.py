@@ -33,10 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.streaming import StreamPrediction
 from repro.serve.batcher import BatchCompletion, MicroBatcher
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.session import StreamSession
+from repro.serve.session import StreamPrediction, StreamSession
 from repro.telemetry import N_GPU_SENSORS
 
 __all__ = ["ServeConfig", "Emission", "IngressQueue", "InferenceServer",
@@ -65,8 +64,8 @@ class SubmitResult(enum.Enum):
 class ServeConfig:
     """Tuning knobs for one :class:`InferenceServer`.
 
-    Window semantics (``window``/``hop``/``vote_window``) are per session
-    and mirror :class:`~repro.core.streaming.OnlineWorkloadClassifier`;
+    Window semantics (``window``/``hop``/``vote_window``) are those of
+    each job's :class:`~repro.serve.session.StreamSession`;
     ``max_batch``/``flush_deadline_s`` bound the micro-batcher;
     ``queue_capacity``/``admission`` govern ingress overload behavior.
     """

@@ -1,29 +1,29 @@
-"""Per-job streaming sessions for the multi-tenant inference server.
+"""Per-job sliding windows: the one window implementation.
 
-:class:`repro.core.streaming.OnlineWorkloadClassifier` couples the sliding
-window to the model call — fine for one stream, wasteful for thousands,
-where per-call ``predict`` overhead dominates.  :class:`StreamSession`
-keeps the exact window/hop/vote semantics but *splits the cycle in two*:
+The paper's deployment case (Section VI) classifies "snapshots of data
+from live workloads running in-progress".  :class:`StreamSession` owns
+everything about the sliding window of one stream: the buffer, the rule
+for when a window is due (full buffer, then every ``hop`` samples) and the
+majority vote over recent labels.  It does not call a model; it splits
+the cycle in two:
 
 1. ``push(samples)`` buffers telemetry and returns :class:`WindowRequest`
-   snapshots whenever a classification is due — the same cadence the
-   online classifier emits at.
-2. ``complete(request, label)`` applies the label produced elsewhere
-   (by the micro-batcher, which coalesced it with other sessions'
-   windows) to the session's majority vote and returns the
-   :class:`~repro.core.streaming.StreamPrediction`.
+   snapshots whenever a classification is due.
+2. ``complete(request, label)`` folds a label produced elsewhere into the
+   session's vote and returns the :class:`StreamPrediction`.
 
-Run serially — push, predict each returned window, complete — a session
-reproduces the online classifier's emissions bit for bit; that parity is
-pinned by the test suite.
+:class:`~repro.serve.server.InferenceServer` runs many sessions and
+classifies their due windows together in batched ``predict`` calls;
+:class:`~repro.core.streaming.OnlineWorkloadClassifier` wraps one session
+and a model, and classifies each due window as it is cut.  Both therefore
+emit at the same samples with the same votes.
 
 Telemetry is buffered in a contiguous float32 ring (the dtype every model
 in this repo trains on): each row is written twice, at ``pos`` and
 ``pos + window``, so the most recent window is *always* one contiguous
-slice of the doubled buffer and a snapshot is a single small memcpy — not
-a ``np.stack`` over hundreds of float64 rows.  Rows are copied in
-per-segment bulk writes between emission points rather than one Python
-iteration per row.
+slice of the doubled buffer and a snapshot is a single small memcpy.
+Rows are copied in per-segment bulk writes between emission points rather
+than one Python iteration per row.
 """
 
 from __future__ import annotations
@@ -33,10 +33,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.streaming import StreamPrediction
 from repro.telemetry import N_GPU_SENSORS
 
-__all__ = ["WindowRequest", "StreamSession"]
+__all__ = ["StreamPrediction", "WindowRequest", "StreamSession"]
+
+
+@dataclass(frozen=True)
+class StreamPrediction:
+    """One emission of a stream: a classified window and the vote."""
+
+    sample_index: int          # stream position at emission time
+    label: int                 # current window's predicted class
+    smoothed_label: int        # majority vote over the vote window
+    confidence: float          # fraction of recent votes agreeing
 
 
 @dataclass(frozen=True)
@@ -62,9 +71,9 @@ class WindowRequest:
 class StreamSession:
     """Sliding-window state for one job stream.
 
-    Parameters mirror :class:`~repro.core.streaming.OnlineWorkloadClassifier`:
     ``window`` samples per classification, re-classify every ``hop``
     samples once full, majority vote over the last ``vote_window`` labels.
+    ``session_id`` is an opaque key stamped onto every request.
     """
 
     session_id: object
@@ -118,7 +127,7 @@ class StreamSession:
         ``samples`` is ``(k, n_sensors)`` in time order.  A request is cut
         when the buffer is full and either ``hop`` new samples arrived
         since the last request or no prediction has ever been produced or
-        requested — exactly the online classifier's emission rule.
+        requested.
         ``trace`` (a trace context or None) is stamped onto every request
         this push cuts; window cutting itself never depends on it.
 
@@ -127,8 +136,6 @@ class StreamSession:
         Python work touches the telemetry itself.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float32))
-        if samples.size == 0:
-            return []
         if samples.shape[1] != N_GPU_SENSORS:
             raise ValueError(
                 f"expected {N_GPU_SENSORS} sensors per sample, "

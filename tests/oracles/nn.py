@@ -15,7 +15,10 @@ mirror the textbook recurrences, so they read end to end.
   per gate slice, textbook BPTT backward;
 * :func:`bilstm_forward`, :func:`bilstm_final_states` — two
   :func:`lstm_forward` passes concatenated, and the ``__getitem__`` +
-  concatenate head.
+  concatenate head;
+* :func:`adam_step_allocating` — one :class:`~repro.nn.optim.adam.Adam`
+  update with a fresh temporary per operation instead of the in-place
+  scratch sequence.
 
 :func:`use_reference` rebinds every such layer of a model to its
 reference, so a whole-model run can be compared with the fused one.
@@ -35,12 +38,13 @@ from repro.nn.layers.rnn import (
     _SIGMOID_SAFE_MAX, BiLSTM, LSTM, _sigmoid_unchecked,
 )
 from repro.nn.module import Module
+from repro.nn.optim.adam import Adam
 from repro.nn.tensor import Tensor
 
 __all__ = [
     "linear_forward", "conv1d_forward", "maxpool1d_forward",
     "lstm_forward", "bilstm_forward", "bilstm_final_states",
-    "use_reference",
+    "use_reference", "adam_step_allocating",
 ]
 
 
@@ -269,3 +273,31 @@ def use_reference(model: Module) -> Module:
         if isinstance(module, BiLSTM):
             module.final_states = MethodType(bilstm_final_states, module)
     return model
+
+
+def adam_step_allocating(opt: Adam) -> None:
+    """One update of ``opt`` by the allocating form of ``Adam.step``.
+
+    Advances ``opt``'s step count and moments exactly as ``opt.step()``
+    would; ``opt.lr`` multiplies the update last, so a ``np.float64`` lr
+    promotes it to float64 here as it does in the in-place body.
+    """
+    opt._t += 1
+    b1, b2 = opt.betas
+    bc1 = 1.0 - b1**opt._t
+    bc2 = 1.0 - b2**opt._t
+    wd = opt.weight_decay
+    for p, m, v in zip(opt.params, opt._m, opt._v):
+        if p.grad is None:
+            continue
+        g = p.grad
+        if wd and not opt.decoupled_weight_decay:
+            g = g + wd * p.data
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        if wd and opt.decoupled_weight_decay:
+            update = update + wd * p.data
+        p.data -= opt.lr * update

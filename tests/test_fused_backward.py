@@ -6,8 +6,8 @@ Every layer with a fused kernel (``Linear``, ``Conv1d``, ``MaxPool1d``,
 and cotangents ⇒ *bit-identical* gradients, for hand-picked shapes and
 hypothesis-drawn ones, past the sigmoid fast-path range, and a
 bit-identical two-epoch training run; the persistent gradient buffer never
-aliases caller arrays; and the Adam fast path reproduces the legacy
-allocating update exactly.
+aliases caller arrays; and ``Adam.step`` reproduces the allocating
+update exactly, with a Python-float lr and with a scheduled np.float64 lr.
 """
 
 import re
@@ -20,11 +20,14 @@ from hypothesis import example, given, settings, strategies as st
 from repro.nn.layers.conv import Conv1d, MaxPool1d
 from repro.nn.layers.linear import Linear
 from repro.nn.layers.rnn import (
-    _SIGMOID_SAFE_MAX, BiLSTM, LSTM, _gate_bound, _step_regimes,
+    _SIGMOID_SAFE_MAX, BiLSTM, LSTM, _gate_maxima, _step_regimes,
 )
 from repro.nn.optim.adam import Adam
+from repro.nn.optim.schedulers import CyclicCosineLR
 from repro.nn.tensor import Tensor, no_grad
-from tests.oracles.nn import bilstm_forward, lstm_forward, use_reference
+from tests.oracles.nn import (
+    adam_step_allocating, bilstm_forward, lstm_forward, use_reference,
+)
 
 
 def _twin_grads(make_layer, x_shape, seed):
@@ -124,14 +127,16 @@ def _run(layer, x_data, cot, reverse):
 
 
 def _bounds(layer, x_data, reverse=False):
-    """``_gate_bound`` of each direction of an LSTM or BiLSTM."""
+    """Each direction's gate bound, ``max|zx| + max colsum|W_hh|``, of an
+    LSTM or BiLSTM."""
     dirs = [(layer.fw, False), (layer.bw, True)] \
         if isinstance(layer, BiLSTM) else [(layer, reverse)]
     bounds = []
     for lstm, rev in dirs:
         xs = x_data[:, ::-1] if rev else x_data
         zx = xs @ lstm.w_ih.data + lstm.bias.data
-        bounds.append(_gate_bound(zx, lstm.w_hh.data))
+        mx = max(-float(np.min(zx)), float(np.max(zx)))
+        bounds.append(mx + float(np.max(np.abs(lstm.w_hh.data).sum(axis=0))))
     return bounds
 
 
@@ -341,7 +346,8 @@ def _assert_proven_regimes_hold(layer, x, reverse):
         zx = np.concatenate([
             ((x[:, ::-1] if rev else x) @ lstm.w_ih.data + lstm.bias.data)
             for lstm, rev in dirs])
-        proven = _step_regimes(zx, dirs, N, T, H)
+        proven = _step_regimes(_gate_maxima(zx, len(dirs), N, T, H),
+                               dirs, H)
         maxima = _block_maxima(layer, x, reverse)
     for t, flags in enumerate(proven):
         if flags is not None:
@@ -439,29 +445,35 @@ class TestGradientBuffer:
 
 
 class TestAdamFastPath:
-    def _steps(self, force_legacy, n_steps=5, seed=0):
+    def _steps(self, step, lr_schedule, decoupled, n_steps=5, seed=0):
         rng = np.random.default_rng(seed)
         params = [Tensor(rng.standard_normal(s).astype(np.float32),
                          requires_grad=True)
-                  for s in [(4, 3), (3,), (2, 2, 2)]]
-        opt = Adam(params, lr=1e-3, weight_decay=1e-4)
-        if force_legacy:
-            # A non-``float`` eps disables the in-place fast path while
-            # keeping the arithmetic float32 (np.float32 adds to a float32
-            # array exactly like the cast python float does).
-            opt.eps = np.float32(opt.eps)
+                  for s in [(4, 3), (3,), (2, 2, 2), (64, 64)]]
+        opt = Adam(params, lr=1e-3, weight_decay=1e-4,
+                   decoupled_weight_decay=decoupled)
+        sched = CyclicCosineLR(opt, cycle_len=3) if lr_schedule else None
         grad_rng = np.random.default_rng(seed + 1)
         for _ in range(n_steps):
+            if sched is not None:
+                sched.step()
+                # np.cos makes the scheduled lr an np.float64, which
+                # promotes ``lr * update`` to float64
+                assert type(opt.lr) is np.float64
             for p in params:
                 p.zero_grad()
                 p._accum(grad_rng.standard_normal(p.data.shape)
                          .astype(np.float32))
-            opt.step()
+            step(opt)
         return [p.data.copy() for p in params]
 
-    def test_fast_matches_legacy_bitwise(self):
-        fast = self._steps(force_legacy=False)
-        legacy = self._steps(force_legacy=True)
+    @pytest.mark.parametrize("decoupled", [False, True],
+                             ids=["coupled", "decoupled"])
+    @pytest.mark.parametrize("lr_schedule", [False, True],
+                             ids=["float-lr", "cyclic-cosine-lr"])
+    def test_fast_matches_legacy_bitwise(self, lr_schedule, decoupled):
+        fast = self._steps(Adam.step, lr_schedule, decoupled)
+        legacy = self._steps(adam_step_allocating, lr_schedule, decoupled)
         for a, b in zip(fast, legacy):
             assert np.array_equal(a, b)
 

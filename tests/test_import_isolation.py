@@ -53,9 +53,9 @@ def test_fleet_worker_child_serves_rf_cov_without_heavy_imports(tmp_path):
     path.write_bytes(pickle.dumps(model))
     expected = int(model.predict(X[:1])[0])
 
-    watched = ["scipy", "repro.nn", "repro.data", "repro.models",
-               "repro.store", "repro.parallel", "repro.simcluster",
-               "multiprocessing.shared_memory"]
+    watched = ["scipy", "repro.core", "repro.nn", "repro.data",
+               "repro.models", "repro.store", "repro.parallel",
+               "repro.simcluster", "multiprocessing.shared_memory"]
     loaded = _loaded_after(f"""
         import pickle
         import numpy as np

@@ -15,7 +15,8 @@ SRC = Path(repro.__file__).resolve().parent
 
 
 def _banned(name: str) -> bool:
-    return (name in ("fused_backward", "best_split_gini", "_sigmoid")
+    return (name in ("fused_backward", "best_split_gini", "_sigmoid",
+                     "adam_step_allocating")
             or name.endswith("_slow"))
 
 

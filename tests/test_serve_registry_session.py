@@ -174,6 +174,10 @@ class TestStreamSession:
         with pytest.raises(ValueError, match="sensors"):
             session.push(np.zeros((3, 5)))
 
+    def test_empty_chunk_sensor_count_validated(self):
+        with pytest.raises(ValueError, match="sensors"):
+            StreamSession("j").push(np.zeros((0, 5)))
+
     def test_empty_push_is_noop(self):
         session = StreamSession("j", window=10)
         assert session.push(np.empty((0, 7))) == []

@@ -149,6 +149,38 @@ class TestOnlineClassifier:
         assert len(preds) >= 1
         assert 0 <= preds[-1].smoothed_label < 26
 
+    def test_real_pipeline_matches_one_session_server(
+            self, challenge_suite_tiny, labelled_tiny):
+        """A fitted RF-cov pipeline sees the same float32 windows through
+        the classifier as through a one-session InferenceServer, so every
+        emission matches; a constant model could not see the dtype."""
+        from repro.models import make_rf_cov
+        from repro.serve import InferenceServer, ServeConfig, SimulatedClock
+
+        ds = challenge_suite_tiny["60-random-1"]
+        model = make_rf_cov(n_estimators=5).fit(ds.X_train, ds.y_train)
+        kwargs = dict(window=540, hop=90, vote_window=5)
+        n_emitted = 0
+        for trial in labelled_tiny.eligible(540).trials[:4]:
+            series = trial.series
+            chunks = [series[i:i + 90] for i in range(0, len(series), 90)]
+            online = OnlineWorkloadClassifier(model=model, **kwargs)
+            want = [p for chunk in chunks for p in online.push(chunk)]
+            server = InferenceServer(model, ServeConfig(max_batch=1, **kwargs),
+                                     clock=SimulatedClock())
+            emissions = []
+            for chunk in chunks:
+                server.submit(trial.job_id, chunk)
+                emissions.extend(server.step())
+            emissions.extend(server.drain())
+            assert [e.prediction for e in emissions] == want
+            n_emitted += len(want)
+        assert n_emitted > 0
+
+    def test_empty_chunk_sensor_count_validated(self):
+        with pytest.raises(ValueError, match="sensors"):
+            self._stream().push(np.zeros((0, 5)))
+
 
 class TestMultiWindowResample:
     def test_shapes_and_labels(self, labelled_tiny):
