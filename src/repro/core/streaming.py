@@ -67,17 +67,25 @@ class OnlineWorkloadClassifier:
 
         ``samples`` is ``(k, n_sensors)`` — one or more new rows of the
         live series, in time order.  Emissions do not depend on how the
-        stream is split into pushes.
+        stream is split into pushes.  If ``predict`` raises, the rows stay
+        buffered, the failed window and the push's later windows are
+        dropped without a vote, and the exception propagates.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         requests = self._session.push(samples)
         if self.monitor is not None:
             self.monitor.update_many(samples)
-        return [
-            self._session.complete(
-                req, int(np.asarray(self.model.predict(req.window[None]))[0]))
-            for req in requests
-        ]
+        out: list[StreamPrediction] = []
+        for i, req in enumerate(requests):
+            try:
+                label = int(
+                    np.asarray(self.model.predict(req.window[None]))[0])
+            except BaseException:
+                for dropped in requests[i:]:
+                    self._session.cancel(dropped)
+                raise
+            out.append(self._session.complete(req, label))
+        return out
 
     def reset(self) -> None:
         """Clear buffered samples and votes (e.g. when a new job starts)."""

@@ -16,18 +16,17 @@ hand-derived BPTT backward reads them.  Under
 backward closure, and a scratch of its own, so an eval pass leaves the
 training scratch alone.
 
-The gate sigmoids have two regimes, both decided from one reduction of
-``zx = x W_ih + b`` to ``max|zx|`` per (direction, step, gate) block
-(:func:`_gate_maxima`).  When ``max|zx| + max colsum|W_hh|`` proves every
-pre-activation of every direction within :data:`_SIGMOID_SAFE_MAX`, each
-step sigmoids the whole stacked gate row with the textbook form.
-Otherwise each step runs :func:`_checked_gate_sigmoid`, one pass over the
-same row that picks the textbook or the overflow-free piecewise form per
-(direction, gate) block, as the reference's one checked call per block
-does; :func:`_step_regimes` proves most steps' blocks from the same
-maxima, so only the rest measure ``max|z|``.  Unscaled telemetry always
-takes the checked regime: raw served windows reach sensor values in the
-tens of thousands, and every block of every step is then piecewise.
+The gate sigmoids have two regimes.  When :func:`_within_safe_range`
+proves every pre-activation of every direction within
+:data:`_SIGMOID_SAFE_MAX`, each step sigmoids the whole stacked gate row
+with the textbook form.  Otherwise each step runs
+:func:`_checked_gate_sigmoid`, one pass over the same row that picks the
+textbook or the overflow-free piecewise form per (direction, gate) block,
+as the reference's one checked call per block does; :func:`_step_regimes`
+proves most steps' blocks from ``x W_ih + b`` alone, so only the rest
+measure ``max|z|``.  Unscaled telemetry always takes the checked regime:
+raw served windows reach sensor values in the tens of thousands, and
+every block of every step is then piecewise.
 
 The per-op reference (textbook BPTT, fresh temporaries every step) lives
 in ``tests/oracles/nn.py``; ``tests/test_fused_backward.py`` and
@@ -134,25 +133,34 @@ def _checked_gate_sigmoid(z: np.ndarray, R: int, N: int, H: int, s: dict,
     np.divide(nz, u, out=z)
 
 
-def _gate_maxima(zx: np.ndarray, R: int, N: int, T: int, H: int) -> np.ndarray:
-    """``max|zx|`` per (direction, step, gate) block, shape ``(R, T, 4)``.
+def _within_safe_range(zx: np.ndarray, dirs, N: int) -> bool:
+    """Whether every gate pre-activation provably stays in the fast range.
 
-    ``zx`` is the kernel's ``(R·N, T, 4H)`` scratch of ``x W_ih + b``.
-    Each maximum is ``max(max, -min)`` over the block's batch rows and
-    ``H`` columns, so ``|zx|`` is never materialised; a block holding a
-    NaN gets NaN.  These two reductions are the only ones the kernel takes
-    over ``zx``: a direction's flat ``max|zx|`` is the max of its blocks'.
+    ``|z| = |x W_ih + b + h W_hh| <= max|x W_ih + b| + max_j Σ_k |W_hh[k,j]|``
+    since hidden states satisfy ``|h| = |o·tanh(c)| <= 1``.  When that
+    bound is within :data:`_SIGMOID_SAFE_MAX` for every direction, every
+    per-block checked sigmoid of the reference takes its textbook branch.
+    ``zx`` is the kernel's ``(R·N, T, 4H)`` scratch of ``x W_ih + b``, so
+    each direction costs at most two flat reductions; ``max|zx|`` is
+    checked as ``max`` and then ``-min``, and the first failure returns, so
+    raw telemetry (whose large values are positive) usually reads only
+    direction 0's ``max``.  A NaN never compares within range.
     """
-    z5 = zx.reshape(R, N, T, 4, H)
-    return np.maximum(np.max(np.max(z5, axis=1), axis=3),
-                      -np.min(np.min(z5, axis=1), axis=3))
+    for d, (lstm, _reverse) in enumerate(dirs):
+        block = zx[d * N:(d + 1) * N]
+        if block.size == 0:
+            continue
+        c = float(np.max(np.abs(lstm.w_hh.data).sum(axis=0)))
+        if not (float(np.max(block)) + c <= _SIGMOID_SAFE_MAX
+                and -float(np.min(block)) + c <= _SIGMOID_SAFE_MAX):
+            return False
+    return True
 
 
-def _step_regimes(a: np.ndarray, dirs, H: int) -> list:
+def _step_regimes(zx: np.ndarray, dirs, N: int, T: int, H: int) -> list:
     """Per step, the (direction, gate) regimes that ``zx`` alone proves.
 
-    ``a`` is :func:`_gate_maxima` of ``zx = x W_ih + b``.  With
-    ``|h| <= 1``, gate ``k``'s pre-activations at step ``t`` satisfy
+    With ``|h| <= 1``, gate ``k``'s pre-activations at step ``t`` satisfy
     ``A - C <= max|z| <= A + C``, where ``A`` is the block's ``max|zx|``
     and ``C`` the largest column sum of ``|W_hh|`` over the gate's columns
     (the lower bound holds at the element where ``|zx|`` peaks).  Each
@@ -163,8 +171,10 @@ def _step_regimes(a: np.ndarray, dirs, H: int) -> list:
     measured.  A NaN in ``zx`` can spread through ``h``, so then every
     step is measured.
     """
-    R, T = a.shape[:2]
-    a = a.astype(np.float64)
+    R = len(dirs)
+    z5 = zx.reshape(R, N, T, 4, H)
+    a = np.maximum(np.max(np.max(z5, axis=1), axis=3),
+                   -np.min(np.min(z5, axis=1), axis=3)).astype(np.float64)
     if np.isnan(a).any():
         return [None] * T
     c = np.stack([np.abs(lstm.w_hh.data.astype(np.float64))
@@ -253,14 +263,8 @@ def _fused_seq_forward(x: Tensor, dirs, host: Module) -> Tensor:
     output is returned detached, with no caches written and no closure
     built.
 
-    A direction's pre-activation bound is its flat ``max|zx|`` (the max of
-    its :func:`_gate_maxima`) plus the largest float32 column sum of
-    ``|W_hh|`` over all ``4H`` columns.  When every direction's bound is
-    within :data:`_SIGMOID_SAFE_MAX`, every per-block checked sigmoid of
-    the reference provably takes its textbook branch, so each step runs
-    :func:`_sigmoid_unchecked` over the whole stacked row.  Otherwise
-    (always, for raw unscaled telemetry such as the windows perfbench
-    serves) each step's gate sigmoids take :func:`_checked_gate_sigmoid`:
+    When a direction's pre-activation bound exceeds the sigmoid fast-path
+    range, each step's gate sigmoids take :func:`_checked_gate_sigmoid`:
     one pass that chooses the branch per direction and gate block exactly
     as the reference's per-block checked calls do.
 
@@ -278,22 +282,14 @@ def _fused_seq_forward(x: Tensor, dirs, host: Module) -> Tensor:
     grad = is_grad_enabled()
     s = _seq_scratch(host, grad, R, N, T, H, D)
     xs, zx = s["xs"], s["zx"]
-    safe = True
     for d, (lstm, reverse) in enumerate(dirs):
         sl = slice(d * N, (d + 1) * N)
         np.copyto(xs[sl], x.data[:, ::-1] if reverse else x.data)
         zx2 = zx[sl].reshape(N * T, 4 * H)
         np.matmul(xs[sl].reshape(N * T, D), lstm.w_ih.data, out=zx2)
         np.add(zx[sl], lstm.bias.data, out=zx[sl])
-    if zx.size:
-        a = _gate_maxima(zx, R, N, T, H)
-        for d, (lstm, _reverse) in enumerate(dirs):
-            # |z| <= max|zx| + max colsum|W_hh| since |h| <= 1; a NaN
-            # bound compares False, so a NaN input is never "safe".
-            bound = float(np.max(a[d])) + float(
-                np.max(np.abs(lstm.w_hh.data).sum(axis=0)))
-            safe &= bound <= _SIGMOID_SAFE_MAX
-    regimes = None if safe else _step_regimes(a, dirs, H)
+    safe = _within_safe_range(zx, dirs, N)
+    regimes = None if safe else _step_regimes(zx, dirs, N, T, H)
 
     zh, z, h, ig, steps = s["zh"], s["z"], s["h"], s["ig"], s["steps"]
     out = np.empty((N, T, R * H), dtype=np.float32)

@@ -6,8 +6,10 @@ concurrent job streams, one model call per tick.
 
 * :class:`ModelRegistry` — versioned on-disk store of fitted pipelines
   with a warm-model LRU.
-* :class:`StreamSession` — per-job sliding windows with the online
-  classifier's window/hop/vote semantics, decoupled from ``predict``.
+* :class:`StreamSession` — per-job sliding windows, the one window
+  implementation (buffer, hop cadence, majority vote), decoupled from
+  ``predict``; :class:`~repro.core.streaming.OnlineWorkloadClassifier`
+  wraps one.
 * :class:`MicroBatcher` — coalesces ready windows across sessions into
   batched ``predict`` calls (size/deadline bounded).
 * :class:`InferenceServer` — bounded ingress, admission control

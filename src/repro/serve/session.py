@@ -182,14 +182,7 @@ class StreamSession:
         Must be called once per request, in ``seq`` order (the batcher
         preserves submission order, so this holds by construction).
         """
-        if request.session_id != self.session_id:
-            raise ValueError(
-                f"request for session {request.session_id!r} completed on "
-                f"session {self.session_id!r}"
-            )
-        if self._pending <= 0:
-            raise RuntimeError("complete() called with no pending request")
-        self._pending -= 1
+        self.cancel(request)
         label = int(label)
         self._votes.append(label)
         counts = Counter(self._votes)
@@ -200,6 +193,21 @@ class StreamSession:
             smoothed_label=int(smoothed),
             confidence=n_agree / len(self._votes),
         )
+
+    def cancel(self, request: WindowRequest) -> None:
+        """Retire a request without a label (e.g. its ``predict`` raised).
+
+        The request stops counting as pending and its window never reaches
+        the vote; :meth:`complete` retires a request the same way first.
+        """
+        if request.session_id != self.session_id:
+            raise ValueError(
+                f"request for session {request.session_id!r} retired on "
+                f"session {self.session_id!r}"
+            )
+        if self._pending <= 0:
+            raise RuntimeError("no pending request to retire")
+        self._pending -= 1
 
     def reset(self) -> None:
         """Clear buffered samples and votes (e.g. when the job restarts)."""

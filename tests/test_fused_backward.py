@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.nn.layers.conv import Conv1d, MaxPool1d
 from repro.nn.layers.linear import Linear
 from repro.nn.layers.rnn import (
-    _SIGMOID_SAFE_MAX, BiLSTM, LSTM, _gate_maxima, _step_regimes,
+    _SIGMOID_SAFE_MAX, BiLSTM, LSTM, _step_regimes,
 )
 from repro.nn.optim.adam import Adam
 from repro.nn.optim.schedulers import CyclicCosineLR
@@ -346,8 +346,7 @@ def _assert_proven_regimes_hold(layer, x, reverse):
         zx = np.concatenate([
             ((x[:, ::-1] if rev else x) @ lstm.w_ih.data + lstm.bias.data)
             for lstm, rev in dirs])
-        proven = _step_regimes(_gate_maxima(zx, len(dirs), N, T, H),
-                               dirs, H)
+        proven = _step_regimes(zx, dirs, N, T, H)
         maxima = _block_maxima(layer, x, reverse)
     for t, flags in enumerate(proven):
         if flags is not None:

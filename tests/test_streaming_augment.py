@@ -181,6 +181,37 @@ class TestOnlineClassifier:
         with pytest.raises(ValueError, match="sensors"):
             self._stream().push(np.zeros((0, 5)))
 
+    def test_failed_predict_leaves_no_window_pending(self):
+        """A window whose predict raised, and the push's later windows,
+        are dropped: nothing stays pending, and the next window is cut as
+        if they had never been requested."""
+
+        class _FailingModel(_ConstantModel):
+            def __init__(self, fail_calls):
+                self.fail_calls, self.n_calls = set(fail_calls), 0
+
+            def predict(self, X):
+                self.n_calls += 1
+                if self.n_calls in self.fail_calls:
+                    raise RuntimeError("predict failed")
+                return super().predict(X)
+
+        clf = OnlineWorkloadClassifier(model=_FailingModel({2}), window=30,
+                                       hop=10, vote_window=3)
+        with pytest.raises(RuntimeError, match="predict failed"):
+            clf.push(self._samples(50))       # windows at 30, 40 (raises), 50
+        assert clf._session.pending == 0
+        preds = clf.push(self._samples(10, seed=1))
+        assert [p.sample_index for p in preds] == [60]
+        assert preds[0].confidence == 1.0     # votes: windows 30 and 60 only
+
+        clf = OnlineWorkloadClassifier(model=_FailingModel({1}), window=30,
+                                       hop=10, vote_window=3)
+        with pytest.raises(RuntimeError, match="predict failed"):
+            clf.push(self._samples(30))
+        assert clf._session.pending == 0
+        assert [p.sample_index for p in clf.push(self._samples(1))] == [31]
+
 
 class TestMultiWindowResample:
     def test_shapes_and_labels(self, labelled_tiny):
