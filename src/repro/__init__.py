@@ -45,9 +45,10 @@ Subpackages
 
 The top-level exports resolve lazily (PEP 562): ``import repro`` loads
 none of the subpackages, so a spawned child that imports only
-``repro.fleet.worker`` never pays for the simulator, scipy or the
-challenge harness.  ``from repro import SimulationConfig`` imports the
-defining module on first access.
+``repro.fleet.worker`` never pays for the simulator or the challenge
+harness.  ``from repro import SimulationConfig`` imports the defining
+module on first access.  Only ``PCA.fit`` imports scipy (its
+``linalg``), at its use site.
 """
 
 import importlib

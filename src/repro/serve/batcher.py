@@ -61,6 +61,11 @@ class MicroBatcher:
     metrics:
         Optional :class:`~repro.serve.metrics.MetricsRegistry`; records
         ``batch.size``/``batch.wait_s`` histograms and call counters.
+    on_failure:
+        Optional callable.  When ``predict`` raises (or returns the wrong
+        shape), the failed batch has already left the queue; it is called
+        with the batch's requests before the exception propagates, so the
+        owner of their sessions can retire them.
     """
 
     def __init__(
@@ -71,6 +76,7 @@ class MicroBatcher:
         max_delay_s: float = 0.25,
         clock=time.monotonic,
         metrics: MetricsRegistry | None = None,
+        on_failure=None,
     ):
         if not hasattr(model, "predict"):
             raise TypeError("model must expose predict()")
@@ -83,6 +89,7 @@ class MicroBatcher:
         self.max_delay_s = max_delay_s
         self.clock = clock
         self.metrics = metrics
+        self.on_failure = on_failure
         self._queue: list[tuple[WindowRequest, float]] = []
         self._scratch: np.ndarray | None = None  # (max_batch, window, sensors)
         self.n_predict_calls = 0
@@ -93,7 +100,7 @@ class MicroBatcher:
         """Queue one window; flushes immediately when the batch fills."""
         self._queue.append((request, self.clock()))
         if len(self._queue) >= self.max_batch:
-            return self._flush_batch()
+            return self.flush()
         return []
 
     def poll(self) -> list[BatchCompletion]:
@@ -102,15 +109,25 @@ class MicroBatcher:
             return []
         waited = self.clock() - self._queue[0][1]
         if waited >= self.max_delay_s:
-            return self._flush_batch()
+            return self.flush()
         return []
 
-    def drain(self) -> list[BatchCompletion]:
-        """Flush everything queued, regardless of deadlines (shutdown)."""
-        out: list[BatchCompletion] = []
+    def drain(self, out: list[BatchCompletion] | None = None) -> list[BatchCompletion]:
+        """Flush everything queued, regardless of deadlines (shutdown).
+
+        Completions are appended to ``out`` (a new list by default) batch
+        by batch, so when a ``predict`` raises, the caller's ``out`` still
+        holds the batches flushed before it.
+        """
+        out = [] if out is None else out
         while self._queue:
-            out.extend(self._flush_batch())
+            out.extend(self.flush())
         return out
+
+    def enqueue(self, requests: list[WindowRequest]) -> None:
+        """Queue windows without flushing (they wait for the next flush)."""
+        now = self.clock()
+        self._queue.extend((request, now) for request in requests)
 
     @property
     def queued(self) -> int:
@@ -136,18 +153,24 @@ class MicroBatcher:
         return self._scratch[: len(windows)]
 
     # ------------------------------------------------------------------
-    def _flush_batch(self) -> list[BatchCompletion]:
+    def flush(self) -> list[BatchCompletion]:
+        """Classify the oldest ``max_batch`` queued windows now."""
         batch, self._queue = self._queue[: self.max_batch], self._queue[self.max_batch:]
         now = self.clock()
         stacked = self._assemble([req.window for req, _ in batch])
         tic = time.perf_counter()
-        labels = np.asarray(self.model.predict(stacked)).astype(np.int64)
-        predict_wall_s = time.perf_counter() - tic
-        if labels.shape != (len(batch),):
-            raise ValueError(
-                f"model.predict returned shape {labels.shape} for a "
-                f"batch of {len(batch)}"
-            )
+        try:
+            labels = np.asarray(self.model.predict(stacked)).astype(np.int64)
+            predict_wall_s = time.perf_counter() - tic
+            if labels.shape != (len(batch),):
+                raise ValueError(
+                    f"model.predict returned shape {labels.shape} for a "
+                    f"batch of {len(batch)}"
+                )
+        except BaseException:
+            if self.on_failure is not None:
+                self.on_failure([req for req, _ in batch])
+            raise
         self.n_predict_calls += 1
         self.n_windows += len(batch)
         if self.metrics is not None:

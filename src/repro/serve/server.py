@@ -27,6 +27,7 @@ else reaching the caller is a programming error.
 from __future__ import annotations
 
 import enum
+import functools
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ import numpy as np
 
 from repro.serve.batcher import BatchCompletion, MicroBatcher
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.session import StreamPrediction, StreamSession
+from repro.serve.session import StreamPrediction, StreamSession, WindowRequest
 from repro.telemetry import N_GPU_SENSORS
 
 __all__ = ["ServeConfig", "Emission", "IngressQueue", "InferenceServer",
@@ -178,6 +179,18 @@ class IngressQueue:
             self.metrics.gauge("ingress.depth").dec(dropped)
 
 
+def _retire_failed(sessions: dict, metrics: MetricsRegistry,
+                   requests: list[WindowRequest]) -> None:
+    """Retire a failed batch: no label, no vote, no longer pending."""
+    for request in requests:
+        session = sessions.get(request.session_id)
+        # A session ended (and perhaps reopened) since the cut has
+        # nothing pending for the request.
+        if session is not None and session is request.origin:
+            session.cancel(request)
+    metrics.counter("predictions.failed").inc(len(requests))
+
+
 class InferenceServer:
     """Multi-tenant streaming classifier over a shared micro-batcher.
 
@@ -227,14 +240,21 @@ class InferenceServer:
         self._batch_taps = []
         for tap in taps:
             self.add_tap(tap)
+        self._sessions: dict[object, StreamSession] = {}
         self.batcher = MicroBatcher(
             model,
             max_batch=self.config.max_batch,
             max_delay_s=self.config.flush_deadline_s,
             clock=clock,
             metrics=self.metrics,
+            # Not a bound method: a batcher holding the server would make
+            # every server garbage for the cycle collector.
+            on_failure=functools.partial(
+                _retire_failed, self._sessions, self.metrics),
         )
-        self._sessions: dict[object, StreamSession] = {}
+        # Completions of batches that succeeded in a step or drain that
+        # then raised; the next step or drain emits them first.
+        self._unemitted: list[BatchCompletion] = []
         self.ingress = IngressQueue(self.config, self.metrics)
 
     def add_tap(self, tap) -> None:
@@ -276,50 +296,75 @@ class InferenceServer:
         per-tick serving capacity: under overload the ingress queue grows
         and sheds instead of the step silently absorbing any offered load
         — the saturation signal the fleet autoscaler reacts to.
+
+        If ``predict`` raises, the failed batch's windows are retired
+        without a vote (counted in ``predictions.failed``), windows not
+        yet classified stay queued, the chunks already consumed still
+        reach the ingress taps, and the exception propagates; the
+        predictions of batches that succeeded before it are emitted by
+        the next :meth:`step` or :meth:`drain`.
         """
-        now = self.clock()
-        tracer = self.tracer
-        completions: list[BatchCompletion] = []
-        # The chunks handed to the ingress taps; built only when one is
-        # attached.
-        popped = [] if self._ingress_taps else None
-        processed = 0
-        while self.ingress and (max_chunks is None or processed < max_chunks):
-            job_id, samples, ctx = self.ingress.pop()
-            processed += 1
-            if popped is not None:
-                popped.append((job_id, samples))
-            session = self._session(job_id)
-            if ctx is not None and tracer is not None:
-                ingest_ctx = tracer.child(ctx)
-                tic = time.perf_counter()
-                requests = session.push(samples, now_s=now, trace=ingest_ctx)
-                tracer.emit(
-                    ingest_ctx, "ingest", start_s=now, end_s=now,
-                    wall_s=time.perf_counter() - tic,
-                    annotations={"rows": samples.shape[0],
-                                 "windows": len(requests)},
-                )
-            else:
-                requests = session.push(samples, now_s=now)
-            for request in requests:
-                completions.extend(self.batcher.submit(request))
-        if popped:
-            for tap in self._ingress_taps:
-                tap.on_ingress(popped)
-        completions.extend(self.batcher.poll())
+        self._consume(max_chunks)
+        self._unemitted.extend(self.batcher.poll())
+        completions, self._unemitted = self._unemitted, []
         return self._emit(completions)
 
     def drain(self) -> list[Emission]:
         """Graceful shutdown: consume remaining ingress, force-flush batches.
 
         After ``drain`` the server refuses new ``submit`` calls until
-        :meth:`reopen`.
+        :meth:`reopen`.  A ``predict`` that raises is handled as in
+        :meth:`step`.
         """
-        emissions = self.step()
+        self._consume(None)
+        self._unemitted.extend(self.batcher.poll())
+        n_stepped = len(self._unemitted)
         self.ingress.draining = True
-        emissions.extend(self._emit(self.batcher.drain()))
-        return emissions
+        self.batcher.drain(self._unemitted)
+        completions, self._unemitted = self._unemitted, []
+        # What a step would have emitted, then the forced flushes.
+        return (self._emit(completions[:n_stepped])
+                + self._emit(completions[n_stepped:]))
+
+    def _consume(self, max_chunks: int | None) -> None:
+        """Push queued ingress into sessions and their windows into the batcher.
+
+        Completions of the batches this fills go to ``self._unemitted``.
+        """
+        now = self.clock()
+        tracer = self.tracer
+        # The chunks handed to the ingress taps; built only when one is
+        # attached.
+        popped = [] if self._ingress_taps else None
+        processed = 0
+        try:
+            while self.ingress and (max_chunks is None or processed < max_chunks):
+                job_id, samples, ctx = self.ingress.pop()
+                processed += 1
+                if popped is not None:
+                    popped.append((job_id, samples))
+                session = self._session(job_id)
+                if ctx is not None and tracer is not None:
+                    ingest_ctx = tracer.child(ctx)
+                    tic = time.perf_counter()
+                    requests = session.push(samples, now_s=now, trace=ingest_ctx)
+                    tracer.emit(
+                        ingest_ctx, "ingest", start_s=now, end_s=now,
+                        wall_s=time.perf_counter() - tic,
+                        annotations={"rows": samples.shape[0],
+                                     "windows": len(requests)},
+                    )
+                else:
+                    requests = session.push(samples, now_s=now)
+                # Full batches flush as they fill; if one raises, the
+                # windows behind it stay queued.
+                self.batcher.enqueue(requests)
+                while self.batcher.queued >= self.batcher.max_batch:
+                    self._unemitted.extend(self.batcher.flush())
+        finally:
+            if popped:
+                for tap in self._ingress_taps:
+                    tap.on_ingress(popped)
 
     def reopen(self) -> None:
         """Accept new work again after a :meth:`drain`."""
@@ -330,7 +375,8 @@ class InferenceServer:
         """Discard per-job state (job finished); True when one existed.
 
         Windows already queued in the batcher become orphans (they are
-        predicted but never emitted); chunks still waiting in the ingress
+        predicted but never emitted, also when the job's session reopens
+        before they are classified); chunks still waiting in the ingress
         queue are dropped — otherwise a leftover chunk would silently
         resurrect the session on a later step, which breaks session
         migration in the fleet tier.
@@ -452,7 +498,8 @@ class InferenceServer:
         for completion in completions:
             request = completion.request
             session = self._sessions.get(request.session_id)
-            if session is None:        # session ended while batch in flight
+            # The session ended (and perhaps reopened) while in flight.
+            if session is None or session is not request.origin:
                 self.metrics.counter("predictions.orphaned").inc()
                 continue
             traced = tracer is not None and request.trace is not None

@@ -57,6 +57,8 @@ class WindowRequest:
     ``trace`` is the request's trace context (or None when untraced) —
     it rides through the batcher so the emit path can attach batch-wait,
     predict and emit spans to the originating request's tree.
+    ``origin`` is the :class:`StreamSession` that cut the request, so a
+    server can tell it from a later session with the same ``session_id``.
     """
 
     session_id: object          # opaque job/stream key
@@ -65,6 +67,7 @@ class WindowRequest:
     window: np.ndarray          # (window, n_sensors) contiguous float32 snapshot
     created_s: float = 0.0
     trace: object = None        # TraceContext | None; opaque to the session
+    origin: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -169,6 +172,7 @@ class StreamSession:
                         window=self._snapshot(),
                         created_s=now_s,
                         trace=trace,
+                        origin=self,
                     )
                 )
                 self._next_seq += 1

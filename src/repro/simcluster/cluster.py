@@ -8,6 +8,14 @@ allocation and identity, and synthesizes GPU (and optionally CPU) telemetry.
 Determinism: every job draws from its own named random stream derived from
 the config seed (see :class:`repro.utils.SeedSequenceFactory`), so the i-th
 job of class c is bit-identical no matter the generation order.
+
+Passes: :meth:`ClusterSimulator.generate` first takes every job's draws, in
+plan order and in each job's stream order (duration, GPU count, scheduler
+record, the GPU side's draws — see :mod:`repro.simcluster.workload` — then
+the CPU and filesystem series).  It then runs one filter pass over every
+AR(1) noise of the release, every series' activity and power arithmetic,
+one pass over every thermal lag, and every series' sensor matrix.
+:meth:`~ClusterSimulator.generate_one` runs the same passes on one job.
 """
 
 from __future__ import annotations
@@ -16,16 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.simcluster._recurrence import Recurrences
 from repro.simcluster.architectures import ARCHITECTURES, ArchitectureSpec
 from repro.simcluster.cpu_model import CpuModel, CpuSeries, DEFAULT_CPU_DT_S
 from repro.simcluster.filesystem import DEFAULT_FS_DT_S, FsCounters, FsModel
 from repro.simcluster.scheduler import JobRecord, SchedulerLog
-from repro.simcluster.workload import (
-    DEFAULT_DT_S,
-    GpuSeries,
-    JobTelemetry,
-    WorkloadGenerator,
-)
+from repro.simcluster.workload import DEFAULT_DT_S, GpuSeries, WorkloadGenerator
 from repro.utils.rng import SeedSequenceFactory
 
 __all__ = ["SimulationConfig", "SimulatedJob", "ClusterSimulator"]
@@ -80,9 +84,21 @@ class SimulationConfig:
             raise ValueError("gpus_per_job_choices and probs must align")
         if abs(sum(self.gpus_per_job_probs) - 1.0) > 1e-9:
             raise ValueError("gpus_per_job_probs must sum to 1")
+        if any(g < 1 for g in self.gpus_per_job_choices):
+            raise ValueError(
+                f"gpus_per_job_choices must be positive, got {self.gpus_per_job_choices}")
+        if self.gpus_per_node < 1:
+            raise ValueError(f"gpus_per_node must be >= 1, got {self.gpus_per_node}")
+        for name in ("dt_s", "cpu_dt_s", "fs_dt_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         lo, hi = self.duration_clip_s
         if not 0 < lo < hi:
             raise ValueError(f"invalid duration_clip_s {self.duration_clip_s}")
+        if lo < 3.0 * self.startup_mean_s:
+            raise ValueError(
+                f"duration_clip_s[0]={lo} is shorter than 3 * startup_mean_s="
+                f"{3.0 * self.startup_mean_s}, so short jobs could not be generated")
 
     def jobs_for_class(self, spec: ArchitectureSpec) -> int:
         """Scaled job count for one class."""
@@ -139,37 +155,44 @@ class ClusterSimulator:
 
     def generate_one(self, job_id: int, spec: ArchitectureSpec) -> SimulatedJob:
         """Generate a single job's record and telemetry (order-independent)."""
-        rng = self._seeds.stream(f"job-{job_id:06d}")
+        return self._generate([(job_id, spec)])[0]
+
+    def _generate(
+        self, plan: list[tuple[int, ArchitectureSpec]]
+    ) -> list[SimulatedJob]:
+        """Every draw of every planned job, then the filter passes."""
         cfg = self.config
+        queue = Recurrences()
+        drawn = []
+        for job_id, spec in plan:
+            rng = self._seeds.stream(f"job-{job_id:06d}")
+            duration = float(np.clip(
+                rng.lognormal(np.log(cfg.duration_lognorm_mean_s),
+                              cfg.duration_lognorm_sigma),
+                *cfg.duration_clip_s,
+            ))
+            n_gpus = int(rng.choice(cfg.gpus_per_job_choices, p=cfg.gpus_per_job_probs))
+            gpn = min(cfg.gpus_per_node, n_gpus)
+            n_nodes = -(-n_gpus // gpn)  # ceil division
 
-        duration = float(np.clip(
-            rng.lognormal(np.log(cfg.duration_lognorm_mean_s), cfg.duration_lognorm_sigma),
-            *cfg.duration_clip_s,
-        ))
-        n_gpus = int(rng.choice(cfg.gpus_per_job_choices, p=cfg.gpus_per_job_probs))
-        gpn = min(cfg.gpus_per_node, n_gpus)
-        n_nodes = -(-n_gpus // gpn)  # ceil division
-
-        record = SchedulerLog.make_record(
-            job_id=job_id,
-            architecture=spec.name,
-            class_label=ARCHITECTURES.index(spec),
-            duration_s=duration,
-            rng=rng,
-            n_nodes=n_nodes,
-            gpus_per_node=gpn,
-        )
-        telemetry: JobTelemetry = self._workload.generate_job(
-            spec, duration, rng, n_gpus=n_gpus
-        )
-        cpu = None
-        if cfg.generate_cpu:
-            cpu = self._cpu.generate(telemetry.signature, telemetry.schedule, rng)
-        fs = None
-        if cfg.generate_fs:
-            fs = self._fs.generate(telemetry.signature, telemetry.schedule, rng)
-        return SimulatedJob(record=record, gpu_series=telemetry.gpu_series,
-                            cpu_series=cpu, fs_counters=fs)
+            record = SchedulerLog.make_record(
+                job_id=job_id,
+                architecture=spec.name,
+                class_label=ARCHITECTURES.index(spec),
+                duration_s=duration,
+                rng=rng,
+                n_nodes=n_nodes,
+                gpus_per_node=gpn,
+            )
+            job = self._workload.job_passes(spec, duration, rng, queue, n_gpus=n_gpus)
+            sig, schedule = next(job)
+            cpu = self._cpu.generate(sig, schedule, rng) if cfg.generate_cpu else None
+            fs = self._fs.generate(sig, schedule, rng) if cfg.generate_fs else None
+            drawn.append((record, job, cpu, fs))
+        telemetry = self._workload.finish_jobs([job for _, job, _, _ in drawn], queue)
+        return [SimulatedJob(record=record, gpu_series=tel.gpu_series,
+                             cpu_series=cpu, fs_counters=fs)
+                for (record, _, cpu, fs), tel in zip(drawn, telemetry)]
 
     def generate(
         self, *, store=None
@@ -181,12 +204,10 @@ class ClusterSimulator:
         ingested and sealed before this returns, so a downstream replay
         reads back bit-identical float32 telemetry.
         """
-        jobs = [self.generate_one(job_id, spec)
-                for job_id, spec in self.job_plan()]
+        jobs = self._generate(self.job_plan())
         log = SchedulerLog()
         for job in jobs:
             log.append(job.record)
         if store is not None:
             store.ingest(jobs)
         return jobs, log
-

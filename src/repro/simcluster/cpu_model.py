@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.simcluster.node import NodeSpec, TX_GAIA_GPU_NODE
 from repro.simcluster.phases import PhaseKind, PhaseSchedule
-from repro.simcluster.sensors import CPU_METRICS
+from repro.simcluster.sensors import CPU_HI, CPU_LO
 from repro.simcluster.signatures import SignatureParams
 
 __all__ = ["CpuSeries", "CpuModel", "DEFAULT_CPU_DT_S"]
@@ -61,9 +61,8 @@ class CpuModel:
         n = max(2, int(round(schedule.total_s / self.dt_s)))
         t = np.arange(n) * self.dt_s
 
-        startup = schedule.mask(t, PhaseKind.STARTUP)
-        ckpt = schedule.mask(t, PhaseKind.CHECKPOINT)
-        cooldown = schedule.mask(t, PhaseKind.COOLDOWN)
+        startup, ckpt, cooldown = schedule.masks(
+            t, PhaseKind.STARTUP, PhaseKind.CHECKPOINT, PhaseKind.COOLDOWN)
 
         # --- Utilization: staging burst at startup, input pipeline steady state.
         util = np.full(n, sig.cpu_util_mean, dtype=np.float64)
@@ -102,7 +101,5 @@ class CpuModel:
         write_mb = np.cumsum(write_rate * self.dt_s / 60.0 * rng.uniform(0.9, 1.1, size=n))
 
         out = np.column_stack([freq, cpu_time, util, rss, vmsize, pages, read_mb, write_mb])
-        for j, spec_j in enumerate(CPU_METRICS):
-            hi = spec_j.hi if np.isfinite(spec_j.hi) else np.inf
-            out[:, j] = np.clip(out[:, j], spec_j.lo, hi)
+        np.clip(out, CPU_LO, CPU_HI, out=out)
         return CpuSeries(data=out, dt_s=self.dt_s)

@@ -71,9 +71,8 @@ class FsModel:
         n = max(2, int(np.ceil(schedule.total_s / self.dt_s)))
         t = np.arange(n) * self.dt_s
 
-        startup = schedule.mask(t, PhaseKind.STARTUP)
-        ckpt = schedule.mask(t, PhaseKind.CHECKPOINT)
-        cooldown = schedule.mask(t, PhaseKind.COOLDOWN)
+        startup, ckpt, cooldown = schedule.masks(
+            t, PhaseKind.STARTUP, PhaseKind.CHECKPOINT, PhaseKind.COOLDOWN)
 
         # Read throughput (bytes/s): staging burst, then the input pipeline.
         read_rate = np.full(n, sig.io_read_mbps * 2**20 / 60.0)

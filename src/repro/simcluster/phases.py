@@ -86,9 +86,15 @@ class PhaseSchedule:
         kind_codes = np.array([kinds.index(ph.kind) for ph in self.phases])
         return kind_codes[idx]
 
+    def masks(self, t: np.ndarray, *kinds: PhaseKind) -> list[np.ndarray]:
+        """One boolean mask per ``kind``, from a single :meth:`kind_at` lookup."""
+        codes = self.kind_at(t)
+        order = list(PhaseKind)
+        return [codes == order.index(kind) for kind in kinds]
+
     def mask(self, t: np.ndarray, kind: PhaseKind) -> np.ndarray:
         """Boolean mask of timestamps falling inside phases of ``kind``."""
-        return self.kind_at(t) == list(PhaseKind).index(kind)
+        return self.masks(t, kind)[0]
 
     def first(self, kind: PhaseKind) -> Phase | None:
         """First phase of the given kind, or None."""

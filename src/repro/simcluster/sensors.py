@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.telemetry import N_GPU_SENSORS
 
 __all__ = [
@@ -18,6 +20,10 @@ __all__ = [
     "CPU_METRICS",
     "N_GPU_SENSORS",
     "N_CPU_METRICS",
+    "GPU_LO",
+    "GPU_HI",
+    "CPU_LO",
+    "CPU_HI",
     "gpu_sensor_index",
     "clip_gpu_series",
 ]
@@ -48,8 +54,6 @@ class SensorSpec:
 
     def clip(self, values):
         """Clip an array into this sensor's physical range (returns array)."""
-        import numpy as np
-
         return np.clip(values, self.lo, self.hi)
 
 
@@ -78,6 +82,12 @@ CPU_METRICS: tuple[SensorSpec, ...] = (
 
 N_CPU_METRICS = len(CPU_METRICS)
 
+#: Per-column physical bounds, for one broadcast clip of a sensor matrix.
+GPU_LO = np.array([s.lo for s in GPU_SENSORS])
+GPU_HI = np.array([s.hi for s in GPU_SENSORS])
+CPU_LO = np.array([s.lo for s in CPU_METRICS])
+CPU_HI = np.array([s.hi for s in CPU_METRICS])
+
 _GPU_INDEX = {spec.name: i for i, spec in enumerate(GPU_SENSORS)}
 
 
@@ -88,17 +98,13 @@ def clip_gpu_series(series):
     could push telemetry outside Table III's plausible bounds; returns a
     new array.
     """
-    import numpy as np
-
     series = np.asarray(series, dtype=np.float64)
     if series.shape[-1] != N_GPU_SENSORS:
         raise ValueError(
             f"last axis must have {N_GPU_SENSORS} sensors, "
             f"got shape {series.shape}"
         )
-    lo = np.array([s.lo for s in GPU_SENSORS])
-    hi = np.array([s.hi for s in GPU_SENSORS])
-    return np.clip(series, lo, hi)
+    return np.clip(series, GPU_LO, GPU_HI)
 
 
 def gpu_sensor_index(name: str) -> int:

@@ -9,10 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data.challenge import build_challenge_suite
 from repro.data.labelled import build_labelled_dataset
 from repro.simcluster.cluster import SimulationConfig
+
+# The tier-1 run keeps hypothesis's default budget.  CI selects this
+# profile (``--hypothesis-profile=ci``) to run every property test that
+# does not pin its own ``max_examples`` — the filter-pass parity sweep
+# among them — ten times wider.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 TINY_SIM = SimulationConfig(

@@ -6,5 +6,7 @@ paths are tested against.
   ``MaxPool1d``, ``LSTM``, ``BiLSTM``) and :func:`~tests.oracles.nn.use_reference`,
   which rebinds a model's layers to them;
 * :mod:`tests.oracles.trees` — the per-tree forest and boosting
-  prediction loops.
+  prediction loops;
+* :mod:`tests.oracles.simcluster` — the per-job release generator, one
+  :func:`scipy.signal.lfilter` call per AR(1) noise and thermal lag.
 """

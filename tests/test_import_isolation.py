@@ -3,8 +3,8 @@
 Every ``spawn`` child (a fleet worker) starts a fresh interpreter and
 pays for each module its entry point pulls in.  These tests start such an
 interpreter, run what the child runs, and check that the heavy packages
-it never uses stay out of ``sys.modules``: scipy (the simulator filters
-and PCA import it at their use sites), the simulator package (serving
+it never uses stay out of ``sys.modules``: scipy (only ``PCA.fit`` uses
+it, and imports it there), the simulator package (serving
 reads its stream constants from ``repro.telemetry``), the subpackages
 that ``repro`` and ``repro.core`` export lazily, and the process-pool
 machinery that only grid search and cross-validation load.
@@ -85,6 +85,38 @@ def test_probe_sees_a_loaded_package(tmp_path):
     loaded = _loaded_after("from repro import SimulationConfig\n",
                            ["scipy", "repro.simcluster.cluster"], tmp_path)
     assert loaded == ["repro.simcluster.cluster"]
+
+
+def test_simulate_ingest_fit_serve_loads_no_scipy(tmp_path):
+    # The paper's pipeline end to end: simulate a release, ingest it, cut
+    # the 60-random-1 split, fit RF-cov and replay jobs through a
+    # drift-monitored server.  No stage of it needs scipy.
+    loaded = _loaded_after(f"""
+        from repro.data import build_challenge_suite
+        from repro.models import make_rf_cov
+        from repro.monitor import FleetDriftMonitor
+        from repro.serve import (FleetLoadGenerator, InferenceServer,
+                                 ServeConfig)
+        from repro.simcluster import ClusterSimulator, SimulationConfig
+        from repro.store import TelemetryStore
+
+        config = SimulationConfig(seed=3, trials_scale=0.004,
+                                  min_jobs_per_class=1)
+        with TelemetryStore({str(tmp_path / "store")!r}) as store:
+            ClusterSimulator(config).generate(store=store)
+            split = build_challenge_suite(
+                store.labelled_dataset(540), seed=3,
+                names=("60-random-1",))["60-random-1"]
+            model = make_rf_cov(n_estimators=3, random_state=3)
+            model.fit(split.X_train, split.y_train)
+            gen = FleetLoadGenerator.from_store(
+                store, n_jobs=2, seed=3, max_samples_per_job=720)
+            server = InferenceServer(
+                model, ServeConfig(window=540, flush_deadline_s=0.0),
+                clock=gen.clock, taps=[FleetDriftMonitor()])
+            assert gen.run(server).emissions
+    """, ["scipy"], tmp_path)
+    assert loaded == []
 
 
 def test_simulator_re_exports_the_telemetry_constants():

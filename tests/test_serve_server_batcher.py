@@ -1,5 +1,8 @@
 """Serving subsystem tests: micro-batcher, server, metrics, load generator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -205,6 +208,90 @@ class TestInferenceServer:
     def test_invalid_admission_policy(self):
         with pytest.raises(ValueError, match="admission"):
             ServeConfig(admission="drop-newest")
+
+    def test_predict_failure_keeps_done_windows_and_leaks_no_pending(self):
+        class _FailsOnSecondCall(_CountingModel):
+            def predict(self, X):
+                if self.calls == 1:
+                    self.calls += 1
+                    raise RuntimeError("predict failed")
+                return super().predict(X)
+
+        model = _FailsOnSecondCall()
+        server, _ = self._server(model, window=30, hop=10, max_batch=1)
+        server.submit("a", _series(50))          # windows end at 30, 40, 50
+        with pytest.raises(RuntimeError, match="predict failed"):
+            server.step()
+        # The 1st window's batch succeeded, the 2nd failed, the 3rd was
+        # cut by the same push and stays queued behind it.
+        assert server.batcher.queued == 1
+        assert server.metrics.counter("predictions.failed").value == 1
+        emissions = server.drain()
+        assert [e.prediction.sample_index for e in emissions] == [30, 50]
+        assert server._session("a").pending == 0
+        assert server.metrics.counter("predictions.emitted").value == 2
+
+    def test_predict_failure_in_drain_keeps_earlier_batches(self):
+        class _FailsOnSecondCall(_CountingModel):
+            def predict(self, X):
+                if self.calls == 1:
+                    self.calls += 1
+                    raise RuntimeError("predict failed")
+                return super().predict(X)
+
+        server, _ = self._server(_FailsOnSecondCall(), max_batch=2,
+                                 flush_deadline_s=1e9)
+        for seed, job in enumerate("abc"):
+            server.submit(job, _series(10, seed=seed))
+        # [a, b] fills a batch while ingress is consumed; the forced
+        # flush of [c] raises.
+        with pytest.raises(RuntimeError, match="predict failed"):
+            server.drain()
+        emissions = server.drain()
+        assert [e.job_id for e in emissions] == ["a", "b"]
+        assert all(server._session(j).pending == 0 for j in "abc")
+        assert server.metrics.counter("predictions.failed").value == 1
+
+    def test_server_is_freed_without_the_cycle_collector(self):
+        server, _ = self._server()
+        server.submit("a", _series(20))
+        server.step()
+        ref = weakref.ref(server)
+        gc.disable()
+        try:
+            del server
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_window_of_ended_session_is_not_emitted_to_its_successor(self):
+        server, _ = self._server(_CountingModel(), window=10, hop=5,
+                                 max_batch=100, flush_deadline_s=1e9)
+        server.submit("a", _series(10))
+        assert server.step() == [] and server.batcher.queued == 1
+        server.end_session("a")
+        server.submit("a", _series(10, seed=1))  # the job restarts
+        emissions = server.drain()
+        # Only the restarted session's own window reaches its vote.
+        assert [e.prediction.sample_index for e in emissions] == [10]
+        assert server._session("a").pending == 0
+        assert server.metrics.counter("predictions.orphaned").value == 1
+
+    def test_failed_window_of_ended_session_is_not_retired_on_successor(self):
+        class _AlwaysFails:
+            def predict(self, X):
+                raise RuntimeError("predict failed")
+
+        server, _ = self._server(_AlwaysFails(), window=10, hop=5,
+                                 max_batch=100, flush_deadline_s=1e9)
+        server.submit("a", _series(10))
+        server.step()
+        server.end_session("a")
+        server.submit("a", _series(3, seed=1))   # restarted, no window yet
+        with pytest.raises(RuntimeError, match="predict failed"):
+            server.drain()
+        assert server._session("a").pending == 0
+        assert server.metrics.counter("predictions.failed").value == 1
 
 
 class TestBatchingBeatsPerSession:

@@ -145,6 +145,13 @@ class TestSimulationConfig:
             dict(min_jobs_per_class=0),
             dict(gpus_per_job_probs=(0.5, 0.5, 0.5)),
             dict(duration_clip_s=(500.0, 100.0)),
+            dict(gpus_per_node=0),
+            dict(gpus_per_job_choices=(0, 2, 4)),
+            dict(gpus_per_job_choices=(1, -2, 4)),
+            dict(startup_mean_s=60.0),
+            dict(dt_s=0.0),
+            dict(cpu_dt_s=0.0),
+            dict(fs_dt_s=-30.0),
         ],
     )
     def test_invalid_configs(self, kwargs):
