@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ml.tree.decision_tree import leaf_indices
 from repro.ml.tree.threshold import split_threshold
 from repro.utils.rng import as_generator
 
@@ -151,18 +152,4 @@ class BoostingTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf weight for every row (vectorized level walk)."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature_[node]
-            internal = feat >= 0
-            if not internal.any():
-                return self.weight_[node]
-            rows = np.flatnonzero(internal)
-            f = feat[rows]
-            thr = self.threshold_[node[rows]]
-            goes_left = X[rows, f] <= thr
-            node[rows] = np.where(
-                goes_left,
-                self.children_left_[node[rows]],
-                self.children_right_[node[rows]],
-            )
+        return self.weight_[leaf_indices(self, X)]

@@ -26,7 +26,32 @@ from repro.ml.tree.threshold import split_threshold
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_2d, check_labels
 
-__all__ = ["DecisionTreeClassifier", "best_split"]
+__all__ = ["DecisionTreeClassifier", "best_split", "leaf_indices"]
+
+
+def leaf_indices(tree, X: np.ndarray) -> np.ndarray:
+    """Advance all rows of ``X`` to their leaf node (vectorized level walk).
+
+    ``tree`` is any one fitted tree in flat node arrays (``feature_``,
+    ``threshold_``, ``children_left_``, ``children_right_``; feature
+    ``-1`` marks a leaf): a :class:`DecisionTreeClassifier` or a
+    boosting round's :class:`~repro.ml.boosting.BoostingTree`.
+    """
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feat = tree.feature_[node]
+        internal = feat >= 0
+        if not internal.any():
+            return node
+        rows = np.flatnonzero(internal)
+        f = feat[rows]
+        thr = tree.threshold_[node[rows]]
+        goes_left = X[rows, f] <= thr
+        node[rows] = np.where(
+            goes_left,
+            tree.children_left_[node[rows]],
+            tree.children_right_[node[rows]],
+        )
 
 #: Most elements in one ``(n, m, k)`` split-search transient (8 MiB of
 #: float64).  A node whose full block is larger is searched a chunk of
@@ -222,23 +247,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         return self
 
     # ------------------------------------------------------------------
-    def _leaf_indices(self, X: np.ndarray) -> np.ndarray:
-        """Advance all rows to their leaf node (vectorized level walk)."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature_[node]
-            internal = feat >= 0
-            if not internal.any():
-                return node
-            rows = np.flatnonzero(internal)
-            f = feat[rows]
-            thr = self.threshold_[node[rows]]
-            goes_left = X[rows, f] <= thr
-            node[rows] = np.where(
-                goes_left,
-                self.children_left_[node[rows]],
-                self.children_right_[node[rows]],
-            )
+    _leaf_indices = leaf_indices
 
     def predict_proba(self, X) -> np.ndarray:
         """Per-class probability estimates for X."""

@@ -27,6 +27,7 @@ from repro.nn import (
     log_softmax,
 )
 from repro.nn.layers.conv import conv_output_length
+from repro.nn.module import predict_labels
 from repro.utils.rng import spawn_generators
 
 __all__ = ["CNNLSTMClassifier", "CNN_LSTM_PAPER_VARIANTS"]
@@ -98,15 +99,5 @@ class CNNLSTMClassifier(Module):
         return log_softmax(self.fc2(z), axis=-1)
 
     def predict(self, X: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        """Predict class labels for X."""
-        from repro.nn.tensor import no_grad
-
-        self.eval()
-        preds = np.empty(X.shape[0], dtype=np.int64)
-        with no_grad():
-            for start in range(0, X.shape[0], batch_size):
-                out = self(Tensor(np.asarray(X[start : start + batch_size],
-                                             dtype=np.float32)))
-                preds[start:start + out.data.shape[0]] = np.argmax(out.data,
-                                                                   axis=1)
-        return preds
+        """Predict class labels for X, ``batch_size`` windows per forward."""
+        return predict_labels(self, X, batch_size)

@@ -1,18 +1,19 @@
 """From-scratch neural-network stack (NumPy autograd).
 
-Replaces the PyTorch dependency of the paper's RNN baselines: a reverse-mode
-autograd engine (:mod:`repro.nn.tensor`), modules and layers (Linear, LSTM /
-BiLSTM with fused BPTT, Conv1d, MaxPool1d, Dropout, LeakyReLU), losses,
-optimizers (SGD, Adam) with the paper's cyclical cosine LR schedule, and a
-Trainer implementing early stopping on validation accuracy.
+Replaces the PyTorch dependency of the paper's RNN baselines with only what
+those models reach: a reverse-mode autograd engine (:mod:`repro.nn.tensor`),
+modules and layers (Linear, LSTM / BiLSTM with fused BPTT, Conv1d,
+MaxPool1d, Dropout, LeakyReLU), log-softmax with the NLL loss, Adam with
+the paper's cyclical cosine LR schedule, and a Trainer implementing early
+stopping on validation accuracy.
 """
 
 from repro.nn.tensor import Tensor, no_grad
-from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.functional import cross_entropy, dropout, log_softmax, nll_loss, softmax
-from repro.nn.layers import LSTM, BiLSTM, Conv1d, Dropout, LeakyReLU, Linear, MaxPool1d, ReLU, Tanh
-from repro.nn.loss import CrossEntropyLoss, NLLLoss
-from repro.nn.optim import Adam, ConstantLR, CyclicCosineLR, SGD, StepLR
+from repro.nn.module import Module, Parameter
+from repro.nn.functional import dropout, log_softmax, nll_loss
+from repro.nn.layers import LSTM, BiLSTM, Conv1d, Dropout, LeakyReLU, Linear, MaxPool1d
+from repro.nn.loss import NLLLoss
+from repro.nn.optim import Adam, CyclicCosineLR
 from repro.nn.training import Trainer, TrainingHistory
 
 __all__ = [
@@ -20,28 +21,19 @@ __all__ = [
     "no_grad",
     "Module",
     "Parameter",
-    "Sequential",
     "log_softmax",
-    "softmax",
     "nll_loss",
-    "cross_entropy",
     "dropout",
     "Linear",
     "LeakyReLU",
-    "ReLU",
-    "Tanh",
     "Dropout",
     "Conv1d",
     "MaxPool1d",
     "LSTM",
     "BiLSTM",
     "NLLLoss",
-    "CrossEntropyLoss",
-    "SGD",
     "Adam",
     "CyclicCosineLR",
-    "ConstantLR",
-    "StepLR",
     "Trainer",
     "TrainingHistory",
 ]

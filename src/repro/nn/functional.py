@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["log_softmax", "softmax", "nll_loss", "cross_entropy", "dropout"]
+__all__ = ["log_softmax", "nll_loss", "dropout"]
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -27,11 +27,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor.from_op(out_data, (x,), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax probabilities along the given axis."""
-    return log_softmax(x, axis=axis).exp()
-
-
 def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer targets.
 
@@ -48,11 +43,6 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
         raise ValueError(f"targets out of range [0, {k})")
     picked = log_probs[np.arange(n), targets]
     return -picked.mean()
-
-
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Softmax cross-entropy from raw logits."""
-    return nll_loss(log_softmax(logits, axis=-1), targets)
 
 
 def dropout(

@@ -1,7 +1,7 @@
 """Neural-network layers."""
 
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.activation import LeakyReLU, ReLU, Tanh
+from repro.nn.layers.activation import LeakyReLU
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.conv import Conv1d, MaxPool1d
 from repro.nn.layers.convlstm import ConvLSTM1d, segment_sequence
@@ -10,8 +10,6 @@ from repro.nn.layers.rnn import LSTM, BiLSTM
 __all__ = [
     "Linear",
     "LeakyReLU",
-    "ReLU",
-    "Tanh",
     "Dropout",
     "Conv1d",
     "MaxPool1d",

@@ -1,11 +1,11 @@
-"""Pointwise activation layers."""
+"""Pointwise activation layer."""
 
 from __future__ import annotations
 
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
-__all__ = ["LeakyReLU", "ReLU", "Tanh"]
+__all__ = ["LeakyReLU"]
 
 
 class LeakyReLU(Module):
@@ -20,25 +20,3 @@ class LeakyReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         """Compute the layer's output for the given input."""
         return x.leaky_relu(self.negative_slope)
-
-
-class ReLU(Module):
-    """Rectified linear unit."""
-
-    def __init__(self):
-        super().__init__()
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Compute the layer's output for the given input."""
-        return x.relu()
-
-
-class Tanh(Module):
-    """Hyperbolic-tangent activation."""
-
-    def __init__(self):
-        super().__init__()
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Compute the layer's output for the given input."""
-        return x.tanh()

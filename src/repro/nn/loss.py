@@ -1,14 +1,14 @@
-"""Loss modules."""
+"""Loss module."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import cross_entropy, nll_loss
+from repro.nn.functional import nll_loss
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
-__all__ = ["NLLLoss", "CrossEntropyLoss"]
+__all__ = ["NLLLoss"]
 
 
 class NLLLoss(Module):
@@ -23,14 +23,3 @@ class NLLLoss(Module):
     def forward(self, log_probs: Tensor, targets: np.ndarray) -> Tensor:
         """Compute the layer's output for the given input."""
         return nll_loss(log_probs, targets)
-
-
-class CrossEntropyLoss(Module):
-    """Softmax cross-entropy from raw logits (log-softmax + NLL fused)."""
-
-    def __init__(self):
-        super().__init__()
-
-    def forward(self, logits: Tensor, targets: np.ndarray) -> Tensor:
-        """Compute the layer's output for the given input."""
-        return cross_entropy(logits, targets)

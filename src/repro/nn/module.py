@@ -2,7 +2,9 @@
 
 Modules auto-register :class:`Parameter` attributes and sub-modules, expose
 ``parameters()`` for optimizers, and carry a ``training`` flag that
-:class:`repro.nn.layers.Dropout` respects.
+:class:`repro.nn.layers.Dropout` respects.  :func:`predict_labels` is the
+one batched inference loop: every classifier's ``predict`` and the
+trainer's validation pass run through it.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
-__all__ = ["Parameter", "Module", "Sequential"]
+__all__ = ["Parameter", "Module", "predict_labels"]
 
 
 class Parameter(Tensor):
@@ -117,17 +119,18 @@ class Module:
             p.data = state[name].astype(p.data.dtype).copy()
 
 
-class Sequential(Module):
-    """Feed-forward container applying sub-modules in order."""
+def predict_labels(model: Module, X: np.ndarray, batch_size: int) -> np.ndarray:
+    """Argmax class of ``model``'s output for each row of ``X``.
 
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self.layers = list(layers)
-        for i, layer in enumerate(layers):
-            setattr(self, f"layer{i}", layer)
-
-    def forward(self, x):
-        """Compute the layer's output for the given input."""
-        for layer in self.layers:
-            x = layer(x)
-        return x
+    Runs in eval mode and under :class:`~repro.nn.tensor.no_grad` (the
+    fused layers' inference fast path), ``batch_size`` rows per forward.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    model.eval()
+    labels = np.empty(X.shape[0], dtype=np.int64)
+    with no_grad():
+        for start in range(0, X.shape[0], batch_size):
+            out = model(Tensor(X[start : start + batch_size]))
+            labels[start : start + batch_size] = np.argmax(out.data, axis=1)
+    return labels

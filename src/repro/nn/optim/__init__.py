@@ -1,7 +1,7 @@
-"""Optimizers and learning-rate schedulers."""
+"""Optimizer and learning-rate scheduler."""
 
-from repro.nn.optim.sgd import SGD
+from repro.nn.optim.optimizer import Optimizer
 from repro.nn.optim.adam import Adam
-from repro.nn.optim.schedulers import CyclicCosineLR, ConstantLR, StepLR
+from repro.nn.optim.schedulers import CyclicCosineLR
 
-__all__ = ["SGD", "Adam", "CyclicCosineLR", "ConstantLR", "StepLR"]
+__all__ = ["Optimizer", "Adam", "CyclicCosineLR"]

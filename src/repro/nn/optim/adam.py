@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.optim.sgd import Optimizer
+from repro.nn.optim.optimizer import Optimizer
 
 __all__ = ["Adam"]
 

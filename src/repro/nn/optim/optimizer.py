@@ -1,4 +1,4 @@
-"""Stochastic gradient descent with momentum and weight decay."""
+"""Optimizer base class: parameter registration, grad clearing and clipping."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["Optimizer", "SGD"]
+__all__ = ["Optimizer"]
 
 
 class Optimizer:
@@ -68,46 +68,3 @@ class Optimizer:
                     p.grad = p.grad * scale
         return norm
 
-
-class SGD(Optimizer):
-    """Classic SGD: ``v ← μv + g``, ``w ← w − lr·v`` (plus weight decay)."""
-
-    def __init__(self, params, lr: float = 0.01, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def state_dict(self) -> dict:
-        """Copy of lr and per-parameter momentum buffers."""
-        state = super().state_dict()
-        state["velocity"] = [v.copy() for v in self._velocity]
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state saved by :meth:`state_dict`."""
-        super().load_state_dict(state)
-        velocity = state["velocity"]
-        if len(velocity) != len(self._velocity):
-            raise ValueError(
-                f"velocity count mismatch: checkpoint has {len(velocity)}, "
-                f"optimizer has {len(self._velocity)} parameters"
-            )
-        self._velocity = [v.copy() for v in velocity]
-
-    def step(self) -> None:
-        """Apply one optimization update from accumulated gradients."""
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.optim.sgd import Optimizer
+from repro.nn.optim.optimizer import Optimizer
 
-__all__ = ["ConstantLR", "StepLR", "CyclicCosineLR"]
+__all__ = ["CyclicCosineLR"]
 
 
 class _Scheduler:
@@ -46,29 +46,6 @@ class _Scheduler:
         """
         self.step_count = int(state["step_count"])
         self.base_lr = state["base_lr"]
-
-
-class ConstantLR(_Scheduler):
-    """No-op schedule (baseline for scheduler ablations)."""
-
-    def get_lr(self) -> float:
-        """Learning rate for the current step count."""
-        return self.base_lr
-
-
-class StepLR(_Scheduler):
-    """Multiply LR by ``gamma`` every ``step_size`` steps."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        if step_size < 1:
-            raise ValueError(f"step_size must be >= 1, got {step_size}")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        """Learning rate for the current step count."""
-        return self.base_lr * self.gamma ** (self.step_count // self.step_size)
 
 
 class CyclicCosineLR(_Scheduler):

@@ -1,22 +1,28 @@
 """Reverse-mode autograd over NumPy arrays.
 
-A deliberately small engine — just the ops the paper's baselines need
-(dense algebra, pointwise nonlinearities, reductions, shape surgery) — but
-with full broadcasting support and exact gradients, property-tested against
-finite differences in the test suite.
+The engine keeps only the ops something reaches, with full broadcasting
+and exact gradients, property-tested against finite differences in the
+test suite:
 
-Performance-sensitive layers (LSTM, Conv1d) register as *fused* nodes: one
-graph node whose backward is hand-derived, instead of hundreds of per-op
-nodes per timestep (see :mod:`repro.nn.layers.rnn`).  The glue for that is
-:meth:`Tensor.from_op`.
+* the fused layers (:class:`~repro.nn.layers.Linear`, ``Conv1d``,
+  ``MaxPool1d``, ``LSTM``/``BiLSTM``, ``log_softmax``, ``dropout``) each
+  register one graph node through :meth:`Tensor.from_op`, whose backward
+  is hand-derived, instead of hundreds of per-op nodes per timestep (see
+  :mod:`repro.nn.layers.rnn`);
+* around those nodes the paper's models, NLL loss and the trainer use
+  ``+``, ``*``, unary ``-``, indexing, ``sum``, ``mean``, ``leaky_relu``,
+  ``backward``, ``zero_grad`` and ``item``;
+* the ConvLSTM extension (:mod:`repro.nn.layers.convlstm`) composes its
+  gate math from ``sigmoid``, ``tanh`` and :meth:`Tensor.stack`;
+* the per-op parity references in the test suite add ``@``, ``reshape``
+  and :meth:`Tensor.concatenate`.
 
 Default dtype is float32, matching the framework baselines and halving
-memory traffic (the cache-effects guidance).
+memory traffic.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Iterable
 
 import numpy as np
@@ -29,10 +35,9 @@ _GRAD_ENABLED = True
 class no_grad:
     """Context manager disabling graph construction (inference mode).
 
-    Also usable as a decorator: ``@no_grad()`` wraps a function so its body
-    runs with graph construction off.  Fused layers additionally branch on
-    :func:`is_grad_enabled` to take allocation-free fast paths, so wrapping
-    a predict loop in ``no_grad`` is what unlocks the inference fast path.
+    Fused layers additionally branch on :func:`is_grad_enabled` to take
+    allocation-free fast paths, so running a predict loop inside
+    ``no_grad`` is what unlocks the inference fast path.
     """
 
     def __enter__(self):
@@ -44,14 +49,6 @@ class no_grad:
     def __exit__(self, *exc):
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
-
-    def __call__(self, fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with no_grad():
-                return fn(*args, **kwargs)
-
-        return wrapper
 
 
 def is_grad_enabled() -> bool:
@@ -214,10 +211,6 @@ class Tensor:
         for k, v in slots.items():
             object.__setattr__(self, k, v)
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but outside the graph."""
-        return Tensor(self.data, dtype=self.data.dtype)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -280,12 +273,6 @@ class Tensor:
 
         return Tensor.from_op(-self.data, (self,), backward)
 
-    def __sub__(self, other) -> "Tensor":
-        return self + (-self._wrap(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return self._wrap(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = self._wrap(other)
 
@@ -296,28 +283,6 @@ class Tensor:
         return Tensor.from_op(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = self._wrap(other)
-
-        def backward(g):
-            self._accum(g / other.data)
-            other._accum(-g * self.data / (other.data**2))
-
-        return Tensor.from_op(self.data / other.data, (self, other), backward)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return self._wrap(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if isinstance(exponent, Tensor):
-            raise TypeError("tensor exponents are not supported; use exp/log")
-        exponent = float(exponent)
-
-        def backward(g):
-            self._accum(g * exponent * self.data ** (exponent - 1.0))
-
-        return Tensor.from_op(self.data**exponent, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = self._wrap(other)
@@ -336,22 +301,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Pointwise nonlinearities
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        """Elementwise exponential."""
-        out_data = np.exp(self.data)
-
-        def backward(g):
-            self._accum(g * out_data)
-
-        return Tensor.from_op(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        """Elementwise natural logarithm."""
-        def backward(g):
-            self._accum(g / self.data)
-
-        return Tensor.from_op(np.log(self.data), (self,), backward)
-
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
         out_data = np.tanh(self.data)
@@ -381,10 +330,6 @@ class Tensor:
             np.where(mask, self.data, negative_slope * self.data), (self,), backward
         )
 
-    def relu(self) -> "Tensor":
-        """Elementwise rectifier."""
-        return self.leaky_relu(0.0)
-
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
@@ -410,20 +355,6 @@ class Tensor:
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        """Max along one axis; gradient flows to the (first) argmax."""
-        out_data = self.data.max(axis=axis, keepdims=True)
-        mask = self.data == out_data
-        # Split ties evenly so gradcheck stays clean.
-        mask = mask / mask.sum(axis=axis, keepdims=True)
-
-        def backward(g):
-            g_exp = g if keepdims else np.expand_dims(g, axis)
-            self._accum(mask * g_exp)
-
-        final = out_data if keepdims else out_data.squeeze(axis=axis)
-        return Tensor.from_op(final, (self,), backward)
-
     # ------------------------------------------------------------------
     # Shape surgery
     # ------------------------------------------------------------------
@@ -437,19 +368,6 @@ class Tensor:
             self._accum(g.reshape(orig))
 
         return Tensor.from_op(self.data.reshape(shape), (self,), backward)
-
-    def transpose(self, *axes) -> "Tensor":
-        """Permute axes (reversed order when none given)."""
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.data.ndim)))
-        inverse = np.argsort(axes)
-
-        def backward(g):
-            self._accum(g.transpose(inverse))
-
-        return Tensor.from_op(self.data.transpose(axes), (self,), backward)
 
     def __getitem__(self, key) -> "Tensor":
         def backward(g):

@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.nn.module import Module
-from repro.nn.optim.sgd import Optimizer
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.module import Module, predict_labels
+from repro.nn.optim.optimizer import Optimizer
+from repro.nn.tensor import Tensor
 from repro.nn.training.checkpoint import (
     TrainingCheckpoint,
     collect_forward_rng_states,
@@ -142,41 +142,19 @@ class Trainer:
         self.verbose = verbose
 
     # ------------------------------------------------------------------
-    def predict_log_probs(self, X: np.ndarray) -> np.ndarray:
-        """Batched inference (no graph construction)."""
-        self.model.eval()
-        outs = []
-        with no_grad():
-            for start in range(0, X.shape[0], self.batch_size):
-                xb = Tensor(X[start : start + self.batch_size])
-                outs.append(self.model(xb).data)
-        return np.concatenate(outs, axis=0)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict class labels for X."""
-        return np.argmax(self.predict_log_probs(X), axis=1)
-
     def evaluate_accuracy(self, X: np.ndarray, y: np.ndarray) -> float:
         """Accuracy of current model predictions on (X, y).
 
-        Streams through the no-grad fast path in ``batch_size`` chunks,
-        accumulating correct counts — never materializing the full
-        log-prob matrix.  The chunk boundaries match :meth:`predict`, and
-        ``correct / N`` (exact integer sum, one float64 division) is
-        bit-identical to the historical ``np.mean`` over concatenated
-        predictions.
+        Predicts through :func:`~repro.nn.module.predict_labels` in
+        ``batch_size`` chunks; ``correct / N`` (exact integer count, one
+        float64 division) is bit-identical to ``np.mean`` over the
+        comparison.
         """
-        y = np.asarray(y)
         n = X.shape[0]
         if n == 0:
             return float("nan")  # matches np.mean of an empty comparison
-        self.model.eval()
-        correct = 0
-        with no_grad():
-            for start in range(0, n, self.batch_size):
-                xb = Tensor(X[start : start + self.batch_size])
-                pred = np.argmax(self.model(xb).data, axis=1)
-                correct += int(np.sum(pred == y[start : start + self.batch_size]))
+        pred = predict_labels(self.model, X, self.batch_size)
+        correct = int(np.count_nonzero(pred == np.asarray(y)))
         return correct / n
 
     # ------------------------------------------------------------------

@@ -39,7 +39,7 @@ class BatchCompletion:
 
     request: WindowRequest
     label: int
-    waited_s: float             # queue time from submit to flush
+    waited_s: float             # queue time from enqueue to flush
     flushed_s: float = 0.0      # serving-clock time of the batch flush
     predict_share_s: float = 0.0  # this window's share of predict wall time
 
@@ -52,7 +52,8 @@ class MicroBatcher:
     model:
         Fitted estimator with ``predict`` over ``(n, window, sensors)``.
     max_batch:
-        Flush as soon as this many windows are queued.
+        Most windows one ``flush`` classifies; the owner flushes while this
+        many are queued (see ``InferenceServer.submit``).
     max_delay_s:
         Flush (on ``poll``) once the oldest queued window has waited this
         long, even if the batch is not full.
@@ -96,13 +97,6 @@ class MicroBatcher:
         self.n_windows = 0
 
     # ------------------------------------------------------------------
-    def submit(self, request: WindowRequest) -> list[BatchCompletion]:
-        """Queue one window; flushes immediately when the batch fills."""
-        self._queue.append((request, self.clock()))
-        if len(self._queue) >= self.max_batch:
-            return self.flush()
-        return []
-
     def poll(self) -> list[BatchCompletion]:
         """Flush if the oldest queued window has exceeded the deadline."""
         if not self._queue:
@@ -184,8 +178,8 @@ class MicroBatcher:
                 predict_wall_s / len(batch))
         out = []
         share = predict_wall_s / len(batch)
-        for (req, submitted_s), label in zip(batch, labels):
-            waited = now - submitted_s
+        for (req, enqueued_s), label in zip(batch, labels):
+            waited = now - enqueued_s
             if self.metrics is not None:
                 self.metrics.histogram("batch.wait_s").observe(waited)
             out.append(BatchCompletion(request=req, label=int(label),

@@ -70,18 +70,6 @@ def _lag(dt: float, tau: float, y0: float) -> tuple[float, float, float]:
     return alpha, -(1.0 - alpha), (1.0 - alpha) * y0
 
 
-def _first_order(target: np.ndarray, dt: float, tau: float, y0: float) -> np.ndarray:
-    """Run ``y' = (target - y) / tau`` over a uniformly sampled target.
-
-    One series through the release's first-order filter pass
-    (:func:`repro.simcluster._recurrence.first_order_pass`).
-    """
-    queue = Recurrences()
-    y = queue.add(np.array(target, dtype=np.float64), *_lag(dt, tau, y0))
-    queue.run()
-    return y
-
-
 class GpuModel:
     """Map activity traces to physical GPU sensor channels.
 
@@ -89,8 +77,7 @@ class GpuModel:
     :mod:`repro.simcluster.workload`): :meth:`draw_noise` takes a series'
     random draws, :meth:`power_from_noise` and :meth:`queue_temperatures`
     run once its activity is known, and :meth:`sensors` once the release's
-    thermal lags are filtered.  :meth:`assemble` runs the same steps on
-    one series.
+    thermal lags are filtered.
     """
 
     def __init__(self, spec: GpuSpec = V100_SPEC):
@@ -130,17 +117,6 @@ class GpuModel:
         )
         return np.clip(p, self.spec.idle_power_w, self.spec.tdp_w)
 
-    def power(
-        self,
-        util_pct: np.ndarray,
-        mem_util_pct: np.ndarray,
-        sig: SignatureParams,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """:meth:`power_from_noise` with freshly drawn measurement noise."""
-        noise = rng.normal(0.0, sig.noise_power, size=util_pct.shape)
-        return self.power_from_noise(util_pct, mem_util_pct, sig, noise)
-
     def queue_temperatures(
         self,
         queue: Recurrences,
@@ -154,7 +130,16 @@ class GpuModel:
         """Queue the core and HBM thermal lags on ``queue``.
 
         Returns their target series; ``queue.run()`` turns them into the
-        temperatures in place (see :meth:`temperatures`).
+        temperatures in place.  Both follow first-order dynamics toward
+        ``ambient + k * power``; the memory temperature additionally tracks
+        memory-bandwidth activity (HBM self-heating).
+
+        ``ambient_c`` and ``cooling`` model per-node environment variation
+        (rack position, fan curves).  This injects *class-irrelevant*
+        variance into the temperature channels — on the real cluster,
+        temperature carries more node identity than workload identity,
+        which is part of why distance-based models underperform tree models
+        on covariance features (Table V).
         """
         spec = self.spec
         if ambient_c is None:
@@ -168,35 +153,6 @@ class GpuModel:
         t0 = ambient_c + cooling * spec.core_c_per_w * spec.idle_power_w
         return (queue.add(core_target, *_lag(dt, spec.core_tau_s, t0)),
                 queue.add(mem_target, *_lag(dt, spec.mem_tau_s, t0)))
-
-    def temperatures(
-        self,
-        power_w: np.ndarray,
-        mem_util_pct: np.ndarray,
-        dt: float,
-        *,
-        ambient_c: float | None = None,
-        cooling: float = 1.0,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Core and HBM temperature series driven by power.
-
-        Both follow first-order dynamics toward ``ambient + k * power``; the
-        memory temperature additionally tracks memory-bandwidth activity
-        (HBM self-heating).
-
-        ``ambient_c`` and ``cooling`` model per-node environment variation
-        (rack position, fan curves).  This injects *class-irrelevant*
-        variance into the temperature channels — on the real cluster,
-        temperature carries more node identity than workload identity,
-        which is part of why distance-based models underperform tree models
-        on covariance features (Table V).
-        """
-        queue = Recurrences()
-        core, mem = self.queue_temperatures(
-            queue, power_w, mem_util_pct, dt, ambient_c=ambient_c, cooling=cooling
-        )
-        queue.run()
-        return core, mem
 
     def sensors(
         self,
@@ -229,22 +185,3 @@ class GpuModel:
         out[:, gpu_sensor_index("power_draw_W")] = power
         # Final physical-range clip per sensor spec.
         return np.clip(out, GPU_LO, GPU_HI, out=out)
-
-    def assemble(
-        self,
-        util_pct: np.ndarray,
-        mem_util_pct: np.ndarray,
-        mem_used_mib: np.ndarray,
-        sig: SignatureParams,
-        dt: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Build the full ``(n_samples, 7)`` sensor matrix in Table III order."""
-        noise, ambient, cooling = self.draw_noise(sig, util_pct.shape[0], rng)
-        power = self.power_from_noise(util_pct, mem_util_pct, sig, noise)
-        temp_core, temp_mem = self.temperatures(
-            power, mem_util_pct, dt, ambient_c=ambient, cooling=cooling
-        )
-        return self.sensors(
-            util_pct, mem_util_pct, mem_used_mib, power, temp_core, temp_mem
-        )

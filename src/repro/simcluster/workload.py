@@ -274,7 +274,14 @@ class WorkloadGenerator:
         yield GpuSeries(data=data, dt_s=self.dt_s, gpu_index=gpu_index)
 
     def _draw_glitches(self, n: int, rng: np.random.Generator):
-        """A series' telemetry read failures: ``(drop, spike)`` masks, or None."""
+        """A series' telemetry read failures: ``(drop, spike)`` masks, or None.
+
+        Real monitoring pipelines drop samples (``nvidia-smi`` timeouts read
+        as zero on the instantaneous counters) and occasionally spike.  The
+        per-job glitch rate is itself heavy-tailed, so a minority of trials
+        become feature-space outliers — robustness to which separates tree
+        models from distance-based models on the real data.
+        """
         if self.glitch_rate <= 0:
             return None
         rate = min(0.4, self.glitch_rate * float(rng.lognormal(0.0, 1.0)))
@@ -283,6 +290,7 @@ class WorkloadGenerator:
         return drop, spike
 
     def _put_glitches(self, data: np.ndarray, drop: np.ndarray, spike: np.ndarray) -> None:
+        """Write the glitch masks into a sensor matrix in place (Table III columns)."""
         if drop.any():
             # Instantaneous counters read zero; temperatures and memory
             # footprint are cached by the collector and persist.
@@ -292,19 +300,6 @@ class WorkloadGenerator:
         if spike.any():
             data[spike, 0] = 100.0
             data[spike, 6] = self.gpu_model.spec.tdp_w
-
-    def apply_glitches(self, data: np.ndarray, rng: np.random.Generator) -> None:
-        """Inject telemetry read failures in place (sensor columns: Table III).
-
-        Real monitoring pipelines drop samples (``nvidia-smi`` timeouts read
-        as zero on the instantaneous counters) and occasionally spike.  The
-        per-job glitch rate is itself heavy-tailed, so a minority of trials
-        become feature-space outliers — robustness to which separates tree
-        models from distance-based models on the real data.
-        """
-        glitches = self._draw_glitches(data.shape[0], rng)
-        if glitches is not None:
-            self._put_glitches(data, *glitches)
 
     # ------------------------------------------------------------------
     # Public entry points

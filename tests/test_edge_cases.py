@@ -9,7 +9,7 @@ from repro.ml.model_selection import GridSearchCV
 from repro.ml.preprocessing import upper_triangle_covariance
 from repro.ml.svm import SVC
 from repro.ml.tree import DecisionTreeClassifier
-from repro.nn import Dropout, LeakyReLU, Linear, Sequential, Tensor
+from repro.nn import Linear
 from repro.parallel import pool as pool_mod
 from repro.parallel.pool import parallel_map
 
@@ -97,17 +97,6 @@ class TestBoostingOptions:
         y = np.zeros(10, dtype=int)
         clf = GradientBoostingClassifier(n_estimators=2).fit(X, y)
         assert np.all(clf.predict(X) == 0)
-
-
-class TestSequentialContainer:
-    def test_applies_in_order(self):
-        seq = Sequential(Linear(3, 5, rng=0), LeakyReLU(), Linear(5, 2, rng=1))
-        out = seq(Tensor(np.ones((4, 3), dtype=np.float32)))
-        assert out.shape == (4, 2)
-
-    def test_registers_all_parameters(self):
-        seq = Sequential(Linear(3, 5, rng=0), Dropout(0.1), Linear(5, 2, rng=1))
-        assert seq.n_parameters() == (3 * 5 + 5) + (5 * 2 + 2)
 
 
 class TestChallengeIOErrors:

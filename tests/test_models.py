@@ -17,6 +17,7 @@ from repro.models import (
     make_xgb_cov,
     traditional_grid,
 )
+from repro.models.convlstm_model import ConvLSTMClassifier
 from repro.nn import Tensor
 
 
@@ -173,3 +174,35 @@ class TestCNNLSTMClassifier:
         assert x.grad is not None
         for name, p in model.named_parameters():
             assert p.grad is not None, name
+
+
+_SEQUENCE_MODELS = {
+    "bilstm": lambda: LSTMClassifier(seq_len=20, hidden_size=4, seed=0),
+    "cnnlstm": lambda: CNNLSTMClassifier(seq_len=20, hidden_size=4,
+                                         kernel_size=3, stride=1,
+                                         conv_channels=(2, 3), seed=0),
+    "convlstm": lambda: ConvLSTMClassifier(seq_len=20, n_segments=4,
+                                           hidden_channels=4, seed=0),
+}
+
+
+class TestSequenceModelPredict:
+    """The sequence models share one batched no-grad predict loop."""
+
+    @pytest.mark.parametrize("name", sorted(_SEQUENCE_MODELS))
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_batch_size_below_one(self, name, batch_size):
+        model = _SEQUENCE_MODELS[name]()
+        X = np.random.default_rng(0).normal(size=(5, 20, 7)).astype(np.float32)
+        with pytest.raises(ValueError, match="batch_size"):
+            model.predict(X, batch_size=batch_size)
+
+    @pytest.mark.parametrize("name", sorted(_SEQUENCE_MODELS))
+    def test_labels_are_argmax_of_forward(self, name):
+        model = _SEQUENCE_MODELS[name]()
+        X = np.random.default_rng(1).normal(size=(5, 20, 7)).astype(np.float32)
+        labels = model.predict(X, batch_size=5)
+        model.eval()
+        expected = np.argmax(model(Tensor(X)).data, axis=1)
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, expected)

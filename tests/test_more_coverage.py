@@ -143,24 +143,3 @@ class TestTensorMisc:
         (out * np.array([1, 2, 3, 4, 5.0])).sum().backward()
         np.testing.assert_allclose(a.grad, [1, 2, 3])
         np.testing.assert_allclose(b.grad, [4, 5])
-
-
-class TestTrainerPredictLogProbs:
-    def test_log_probs_shape_and_normalization(self):
-        from repro.nn import Linear, Module, NLLLoss, SGD, Trainer, log_softmax
-
-        class M(Module):
-            def __init__(self):
-                super().__init__()
-                self.fc = Linear(3, 4, rng=0)
-
-            def forward(self, x):
-                return log_softmax(self.fc(x.mean(axis=1)), axis=-1)
-
-        model = M()
-        trainer = Trainer(model, SGD(model.parameters(), lr=0.01), NLLLoss(),
-                          batch_size=4, max_epochs=1)
-        X = np.random.default_rng(0).normal(size=(10, 6, 3)).astype(np.float32)
-        lp = trainer.predict_log_probs(X)
-        assert lp.shape == (10, 4)
-        np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, atol=1e-5)

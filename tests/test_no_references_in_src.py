@@ -2,8 +2,11 @@
 
 Production code has one implementation per behaviour.  A reference path
 kept beside its fast path (a ``*_slow`` function or method, or the
-per-feature CART split search ``best_split_gini``) or a switch between the
-two (``fused_backward``) fails this walk over the package's syntax trees.
+per-feature CART split search ``best_split_gini``, or the per-series
+simulator steps ``_first_order``, ``temperatures``, ``assemble`` and
+``apply_glitches`` that the release's filter passes replaced) or a switch
+between the two (``fused_backward``) fails this walk over the package's
+syntax trees.
 """
 
 import ast
@@ -16,7 +19,8 @@ SRC = Path(repro.__file__).resolve().parent
 
 def _banned(name: str) -> bool:
     return (name in ("fused_backward", "best_split_gini", "_sigmoid",
-                     "adam_step_allocating")
+                     "adam_step_allocating", "_first_order", "apply_glitches",
+                     "assemble", "temperatures")
             or name.endswith("_slow"))
 
 

@@ -19,7 +19,7 @@ from repro.ml.ensemble.forest import RandomForestClassifier
 from repro.ml.tree.flat import FlatForest
 from repro.nn import BiLSTM, LSTM, Tensor
 from repro.nn.layers.conv import Conv1d, MaxPool1d
-from repro.nn.tensor import is_grad_enabled, no_grad
+from repro.nn.tensor import no_grad
 from repro.serve.batcher import MicroBatcher
 from repro.serve.session import StreamSession
 from repro.simcluster.sensors import N_GPU_SENSORS
@@ -144,14 +144,6 @@ class TestNoGradForwardParity:
             assert step[0] is gates
             assert step[5] is cell and step[6] is cell
             assert step[7] is tanh_c
-
-    def test_no_grad_decorator(self):
-        @no_grad()
-        def probe():
-            return is_grad_enabled()
-
-        assert probe() is False
-        assert is_grad_enabled() is True
 
 
 class TestStableSigmoid:
@@ -286,8 +278,8 @@ class TestZeroCopyServing:
             g = np.random.default_rng(seed)
             return sess.push(g.normal(size=(5, N_GPU_SENSORS)))[0]
 
-        first = [batcher.submit(req_batch(s)) for s in (10, 11, 12)]
-        done_a = first[-1]
+        batcher.enqueue([req_batch(s) for s in (10, 11, 12)])
+        done_a = batcher.flush()
         assert len(done_a) == 3
         scratch_a = batcher._scratch
         labels_a = [c.label for c in done_a]
@@ -295,8 +287,8 @@ class TestZeroCopyServing:
             np.stack([c.request.window for c in done_a])).tolist()
         assert labels_a == expect_a
 
-        second = [batcher.submit(req_batch(s)) for s in (20, 21, 22)]
-        done_b = second[-1]
+        batcher.enqueue([req_batch(s) for s in (20, 21, 22)])
+        done_b = batcher.flush()
         assert batcher._scratch is scratch_a       # buffer reused...
         assert [c.label for c in done_a] == labels_a   # ...results stable
         expect_b = model.predict(

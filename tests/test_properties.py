@@ -195,5 +195,5 @@ class TestTensorAlgebra:
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=8), dtype=np.float64)
         lhs = x.tanh().data
-        rhs = (2.0 * (2.0 * x).sigmoid() - 1.0).data
+        rhs = (2.0 * (2.0 * x).sigmoid() + (-1.0)).data
         np.testing.assert_allclose(lhs, rhs, rtol=1e-8, atol=1e-10)

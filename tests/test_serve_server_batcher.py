@@ -50,20 +50,22 @@ class TestMicroBatcher:
     def test_flushes_when_batch_fills(self):
         model = _CountingModel()
         batcher = MicroBatcher(model, max_batch=3, max_delay_s=1e9)
-        reqs = _requests(3)
-        assert batcher.submit(reqs[0]) == []
-        assert batcher.submit(reqs[1]) == []
-        done = batcher.submit(reqs[2])
+        reqs = _requests(4)
+        batcher.enqueue(reqs[:2])
+        assert batcher.poll() == []          # short of a batch, no deadline
+        batcher.enqueue(reqs[2:])
+        done = batcher.flush()               # the oldest max_batch windows
         assert [c.request.seq for c in done] == [0, 1, 2]
         assert model.calls == 1 and model.windows == 3
-        assert batcher.queued == 0
+        assert batcher.queued == 1
+        assert [c.request.seq for c in batcher.flush()] == [3]
 
     def test_deadline_flush_with_fake_clock(self):
         clock = SimulatedClock()
         model = _CountingModel()
         batcher = MicroBatcher(model, max_batch=100, max_delay_s=5.0,
                                clock=clock)
-        batcher.submit(_requests(1)[0])
+        batcher.enqueue(_requests(1))
         assert batcher.poll() == []          # deadline not reached
         clock.advance(4.9)
         assert batcher.poll() == []
@@ -76,9 +78,9 @@ class TestMicroBatcher:
     def test_drain_flushes_everything(self):
         model = _CountingModel()
         batcher = MicroBatcher(model, max_batch=4, max_delay_s=1e9)
-        for req in _requests(6):
-            batcher.submit(req)
-        # 6 queued at max_batch 4: submit auto-flushed 4, drain gets 2.
+        batcher.enqueue(_requests(6))
+        # 6 queued at max_batch 4: one full flush takes 4, drain gets 2.
+        assert len(batcher.flush()) == 4
         assert batcher.queued == 2
         done = batcher.drain()
         assert len(done) == 2
@@ -92,7 +94,8 @@ class TestMicroBatcher:
         neg = StreamSession("neg", window=10, hop=1)
         (rp,) = pos.push(_series(10, level=1.0))
         (rn,) = neg.push(_series(10, level=-1.0))
-        done = batcher.submit(rp) + batcher.submit(rn)
+        batcher.enqueue([rp, rn])
+        done = batcher.flush()
         labels = {c.request.session_id: c.label for c in done}
         assert labels == {"pos": 1, "neg": 0}
 
@@ -102,8 +105,9 @@ class TestMicroBatcher:
                 return np.zeros(99)
 
         batcher = MicroBatcher(Bad(), max_batch=1)
+        batcher.enqueue(_requests(1))
         with pytest.raises(ValueError, match="shape"):
-            batcher.submit(_requests(1)[0])
+            batcher.flush()
 
     def test_validates_parameters(self):
         with pytest.raises(TypeError, match="predict"):

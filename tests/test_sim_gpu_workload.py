@@ -4,11 +4,37 @@ import numpy as np
 import pytest
 
 from repro.simcluster.architectures import get_architecture
-from repro.simcluster.gpu import GpuModel, V100_SPEC, _first_order
+from repro.simcluster._recurrence import Recurrences
+from repro.simcluster.gpu import GpuModel, V100_SPEC, _lag
 from repro.simcluster.phases import PhaseKind, build_phase_schedule
 from repro.simcluster.sensors import GPU_SENSORS, gpu_sensor_index
 from repro.simcluster.signatures import signature_for
 from repro.simcluster.workload import DEFAULT_DT_S, WorkloadGenerator
+
+
+def _first_order(target, dt, tau, y0):
+    """One series through the release's thermal-lag filter pass."""
+    queue = Recurrences()
+    y = queue.add(np.array(target, dtype=np.float64), *_lag(dt, tau, y0))
+    queue.run()
+    return y
+
+
+def _temperatures(model, power, mem_util, dt, **env):
+    """Core and HBM temperatures of one series: queue its lags, run them."""
+    queue = Recurrences()
+    core, mem = model.queue_temperatures(queue, power, mem_util, dt, **env)
+    queue.run()
+    return core, mem
+
+
+def assemble(model, util, mem_util, mem_used, sig, dt, rng):
+    """One series' ``(n, 7)`` sensor matrix through the release's pass steps."""
+    noise, ambient, cooling = model.draw_noise(sig, util.shape[0], rng)
+    power = model.power_from_noise(util, mem_util, sig, noise)
+    temp_core, temp_mem = _temperatures(model, power, mem_util, dt,
+                                        ambient_c=ambient, cooling=cooling)
+    return model.sensors(util, mem_util, mem_used, power, temp_core, temp_mem)
 
 
 class TestFirstOrderFilter:
@@ -30,7 +56,7 @@ class TestFirstOrderFilter:
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
-            _first_order(np.ones(5), dt=0.1, tau=0.0, y0=0.0)
+            _lag(0.1, 0.0, 0.0)
 
 
 class TestGpuModel:
@@ -44,21 +70,30 @@ class TestGpuModel:
     def test_power_within_envelope(self):
         util, mem_util, _, rng = self._inputs()
         sig = signature_for(get_architecture("VGG16"))
-        p = GpuModel().power(util, mem_util, sig, rng)
+        model = GpuModel()
+        noise = model.draw_noise(sig, util.shape[0], rng)[0]
+        p = model.power_from_noise(util, mem_util, sig, noise)
         assert p.min() >= V100_SPEC.idle_power_w
         assert p.max() <= V100_SPEC.tdp_w
 
     def test_power_increases_with_util(self):
         sig = signature_for(get_architecture("VGG16"))
         rng = np.random.default_rng(2)
-        low = GpuModel().power(np.full(200, 10.0), np.full(200, 10.0), sig, rng)
-        high = GpuModel().power(np.full(200, 90.0), np.full(200, 60.0), sig, rng)
+        model = GpuModel()
+
+        def power(util, mem_util):
+            noise = model.draw_noise(sig, 200, rng)[0]
+            return model.power_from_noise(np.full(200, util),
+                                          np.full(200, mem_util), sig, noise)
+
+        low = power(10.0, 10.0)
+        high = power(90.0, 60.0)
         assert high.mean() > low.mean() + 50
 
     def test_assemble_shape_and_order(self):
         util, mem_util, mem_used, rng = self._inputs()
         sig = signature_for(get_architecture("Bert"))
-        out = GpuModel().assemble(util, mem_util, mem_used, sig, 0.1, rng)
+        out = assemble(GpuModel(), util, mem_util, mem_used, sig, 0.1, rng)
         assert out.shape == (500, 7)
         np.testing.assert_allclose(
             out[:, gpu_sensor_index("utilization_gpu_pct")], util, atol=1e-9
@@ -67,7 +102,7 @@ class TestGpuModel:
     def test_memory_free_plus_used_is_capacity(self):
         util, mem_util, mem_used, rng = self._inputs()
         sig = signature_for(get_architecture("Bert"))
-        out = GpuModel().assemble(util, mem_util, mem_used, sig, 0.1, rng)
+        out = assemble(GpuModel(), util, mem_util, mem_used, sig, 0.1, rng)
         free = out[:, gpu_sensor_index("memory_free_MiB")]
         used = out[:, gpu_sensor_index("memory_used_MiB")]
         np.testing.assert_allclose(free + used, V100_SPEC.memory_mib, rtol=1e-6)
@@ -75,7 +110,7 @@ class TestGpuModel:
     def test_all_sensors_in_physical_range(self):
         util, mem_util, mem_used, rng = self._inputs()
         sig = signature_for(get_architecture("U5-128"))
-        out = GpuModel().assemble(util, mem_util, mem_used, sig, 0.1, rng)
+        out = assemble(GpuModel(), util, mem_util, mem_used, sig, 0.1, rng)
         for j, spec in enumerate(GPU_SENSORS):
             assert out[:, j].min() >= spec.lo, spec.name
             assert out[:, j].max() <= spec.hi, spec.name
@@ -85,7 +120,7 @@ class TestGpuModel:
         (relatively) than power."""
         rng = np.random.default_rng(3)
         power = np.clip(50 + 100 * (rng.random(2000) > 0.5), 0, 300)
-        t_core, _ = GpuModel().temperatures(power, np.zeros(2000), dt=0.11)
+        t_core, _ = _temperatures(GpuModel(), power, np.zeros(2000), dt=0.11)
         assert t_core.std() / t_core.mean() < power.std() / power.mean()
 
 

@@ -10,6 +10,7 @@ from repro.simcluster.gpu import GpuModel, V100_SPEC
 from repro.simcluster.sensors import GPU_SENSORS, gpu_sensor_index
 from repro.simcluster.signatures import signature_for
 from repro.simcluster.workload import WorkloadGenerator
+from tests.test_sim_gpu_workload import assemble
 
 
 class TestGeneratorProperties:
@@ -55,11 +56,12 @@ class TestGeneratorProperties:
     def test_glitches_zero_instantaneous_counters(self):
         gen = WorkloadGenerator(startup_mean_s=28.0, glitch_rate=0.2)
         rng = np.random.default_rng(1)
-        data = gen.gpu_model.assemble(
+        data = assemble(
+            gen.gpu_model,
             np.full(2000, 80.0), np.full(2000, 50.0), np.full(2000, 10_000.0),
             signature_for(get_architecture("VGG16")), 0.111, rng,
         )
-        gen.apply_glitches(data, rng)
+        gen._put_glitches(data, *gen._draw_glitches(data.shape[0], rng))
         dropped = data[:, 6] == 0.0
         assert dropped.any()
         # Memory footprint persists through glitches (collector caches it).
@@ -75,7 +77,8 @@ class TestThermalThrottle:
         sig = signature_for(get_architecture("Bert"))
         rng = np.random.default_rng(seed)
         n = 4000
-        return GpuModel().assemble(
+        return assemble(
+            GpuModel(),
             np.full(n, util_level), np.full(n, 60.0), np.full(n, 20_000.0),
             sig, 0.111, rng,
         )

@@ -1,5 +1,5 @@
 """Trainer.evaluate_accuracy streams in batch_size chunks and matches the
-full-batch mean over Trainer.predict."""
+full-batch mean over the model's own predict."""
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ class TestChunkedEvaluateAccuracy:
         X, y = X[:n], y[:n]
         trainer = self._trainer(batch)
         acc = trainer.evaluate_accuracy(X, y)
-        pred = trainer.predict(X)
+        pred = trainer.model.predict(X, batch_size=batch)
         assert acc == float(np.mean(pred == y))
 
     def test_empty_is_nan(self):
