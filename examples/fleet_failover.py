@@ -5,12 +5,17 @@ workers by consistent hashing and rebuilds a dead worker's sessions from
 history replay.  This script makes the reliability claim concrete: run
 the same traffic twice — once undisturbed, once killing the worker that
 owns job 0 halfway through — and show that the surviving fleet re-emits
-exactly what the dead worker lost, bit-identical to the unfailed run::
+exactly what the dead worker lost, bit-identical to the unfailed run.
+The series are replayed as float32, as a store replay hands them out,
+so the run also checks that float32 admission and failover emit what a
+float64 replay of the same telemetry emits::
 
     python examples/fleet_failover.py
 """
 
 import contextlib
+
+import numpy as np
 
 from repro import SimulationConfig
 from repro.data import build_challenge_suite, build_labelled_dataset
@@ -42,10 +47,15 @@ def trace(emissions):
 
 
 def replay(model, window, series, *, kill_tick=None):
-    """One full fleet replay; optionally kill job 0's owner at a tick."""
+    """One full fleet replay; optionally kill job 0's owner at a tick.
+
+    Each series keeps its own dtype from submit to the session ring, as
+    in a store replay.
+    """
     gen = FleetLoadGenerator(
         series, n_jobs=24, samples_per_tick=window,
         max_samples_per_job=window * 12, seed=7, clock=SimulatedClock(),
+        keep_dtype=True,
     )
     router = build_fleet(model, window, gen, n_workers=4)
     victim = router.owner_of(0)
@@ -76,7 +86,9 @@ def main() -> None:
         "60-random-1"]
     model = make_rf_cov(n_estimators=30).fit(ds.X_train, ds.y_train)
     window = ds.n_samples
-    series = [t.series for t in labelled.eligible(window).trials]
+    # Float32 telemetry, the dtype a TelemetryStore archives and replays.
+    series = [t.series.astype(np.float32)
+              for t in labelled.eligible(window).trials]
     print(f"offline model fitted on {ds.n_train} windows\n")
 
     # 2. The unfailed twin: 24 jobs across 4 workers, nobody dies.
@@ -104,7 +116,15 @@ def main() -> None:
     print("parity: every (sample_index, label, smoothed, confidence) "
           "matches the unfailed run exactly")
 
-    # 5. One fleet-wide operator view — counters add, histograms merge.
+    # 5. The same telemetry as float64 emits the same predictions: float32
+    #    rows are widened exactly wherever a float64 value is needed.
+    wide, _, _ = replay(model, window, [s.astype(np.float64) for s in series])
+    if trace(wide.emissions) != trace(clean.emissions):
+        raise SystemExit("dtype: the float64 replay's emissions differ "
+                         "from the float32 replay's")
+    print("dtype: a float64 replay of the same telemetry emits the same")
+
+    # 6. One fleet-wide operator view — counters add, histograms merge.
     #    The dead worker's counters stay in it, so the fleet counts every
     #    prediction it delivered.
     fleet = router.fleet_metrics()

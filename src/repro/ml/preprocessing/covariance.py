@@ -40,10 +40,13 @@ def upper_triangle_covariance(X: np.ndarray, *, normalize: bool = True) -> np.nd
     """
     X = check_3d(X)
     n, t, s = X.shape
-    # One batched GEMM for all trials: (n, s, t) @ (n, t, s) -> (n, s, s).
-    gram = np.einsum("nts,ntu->nsu", X, X, optimize=True)
+    # One batched matmul: (n, s, t) @ (n, t, s) -> (n, s, s).  It takes
+    # each trial's Gram in its own BLAS call, so a trial's features are
+    # the same bytes whatever batch it arrives in (einsum takes another
+    # path for a batch of one).
+    gram = np.matmul(X.transpose(0, 2, 1), X)
     if normalize:
-        gram = gram / t
+        gram /= t
     iu = np.triu_indices(s)
     return gram[:, iu[0], iu[1]]
 

@@ -13,9 +13,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseEstimator, TransformerMixin
-from repro.utils.validation import check_2d, check_3d
+from repro.utils.validation import check_2d, check_3d, float_dtype
 
 __all__ = ["StandardScaler", "TimeSeriesStandardScaler"]
+
+
+def _standardize(X: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``(X - mean) / scale`` in one float64 output, whatever ``X``'s float.
+
+    The float64 ufunc loops widen ``X`` a buffer at a time, so these are
+    the same IEEE operations as on a float64 copy of ``X``, without the
+    copy or a second temporary.
+    """
+    out = np.subtract(X, mean, out=np.empty(X.shape))
+    return np.divide(out, scale, out=out)
 
 
 class StandardScaler(BaseEstimator, TransformerMixin):
@@ -41,12 +52,12 @@ class StandardScaler(BaseEstimator, TransformerMixin):
     def transform(self, X) -> np.ndarray:
         """Apply the fitted transformation to X."""
         self._check_fitted("mean_", "scale_")
-        X = check_2d(X)
+        X = check_2d(X, dtype=float_dtype(X))
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
                 f"X has {X.shape[1]} features; scaler fitted on {self.n_features_in_}"
             )
-        return (X - self.mean_) / self.scale_
+        return _standardize(X, self.mean_, self.scale_)
 
     def inverse_transform(self, X) -> np.ndarray:
         """Map transformed data back to the original space."""
@@ -79,12 +90,12 @@ class TimeSeriesStandardScaler(BaseEstimator, TransformerMixin):
     def transform(self, X) -> np.ndarray:
         """Apply the fitted transformation to X."""
         self._check_fitted("mean_", "scale_")
-        X = check_3d(X)
+        X = check_3d(X, dtype=float_dtype(X))
         if X.shape[2] != self.n_sensors_in_:
             raise ValueError(
                 f"X has {X.shape[2]} sensors; scaler fitted on {self.n_sensors_in_}"
             )
-        return (X - self.mean_) / self.scale_
+        return _standardize(X, self.mean_, self.scale_)
 
     def inverse_transform(self, X) -> np.ndarray:
         """Map transformed data back to the original space."""

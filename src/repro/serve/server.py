@@ -38,6 +38,7 @@ from repro.serve.batcher import BatchCompletion, MicroBatcher
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.session import StreamPrediction, StreamSession, WindowRequest
 from repro.telemetry import N_GPU_SENSORS
+from repro.utils.validation import float_dtype
 
 __all__ = ["ServeConfig", "Emission", "IngressQueue", "InferenceServer",
            "SubmitResult"]
@@ -103,7 +104,7 @@ class Emission:
 class IngressQueue:
     """Bounded ingress queue with admission control, in front of a replica.
 
-    The one implementation of admission: the float64 coercion and
+    The one implementation of admission: the dtype rule and the
     ``(k, 7)`` shape check, the draining check, the ``queue_capacity``
     check under the configured overload policy, the ``ingress.*``
     counters and the ``ingress.depth`` gauge, and dropping a finished
@@ -112,6 +113,15 @@ class IngressQueue:
     :class:`~repro.fleet.worker.SubprocessWorker`, which then ships the
     admitted chunks to its child without admitting them again
     (:meth:`extend`).  Items are ``(job_id, samples, trace)`` tuples.
+
+    A floating chunk keeps its dtype (float16, float32 or float64) and
+    any other chunk is coerced to float64.  Store replays are float32
+    memmap views, so they cross a worker pipe at half the bytes of a
+    float64 copy, and the session's float32 ring takes them without a
+    conversion.  A session converts a chunk to float32 and the drift
+    monitor widens it to float64, each exactly as from a float64 copy,
+    so every window and drift statistic is the one a float64 chunk
+    gives.
     """
 
     def __init__(self, config: ServeConfig, metrics: MetricsRegistry):
@@ -126,7 +136,7 @@ class IngressQueue:
 
     def admit(self, job_id, samples, trace=None) -> SubmitResult:
         """Admit one chunk under the overload policy (see ``submit``)."""
-        samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+        samples = np.atleast_2d(np.asarray(samples, dtype=float_dtype(samples)))
         if samples.ndim != 2 or samples.shape[1] != N_GPU_SENSORS:
             raise ValueError(
                 f"expected a (k, {N_GPU_SENSORS}) telemetry chunk, got "
@@ -415,9 +425,10 @@ class InferenceServer:
         session = self._session(job_id)
         now = self.clock()
         tic = time.perf_counter()
-        # Same dtype coercion as submit(): replayed windows must be
-        # numerically identical to the ones the live path would build.
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        # Same dtype rule as submit(), so the session buffers the float32
+        # rows the live path buffered; a store history (a float32 memmap
+        # view) goes in without a conversion.
+        rows = np.atleast_2d(np.asarray(rows, dtype=float_dtype(rows)))
         requests = session.push(rows, now_s=now) if rows.size else []
         labels: list[int] = []
         for lo in range(0, len(requests), self.config.max_batch):

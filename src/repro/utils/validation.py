@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "float_dtype",
     "check_array",
     "check_2d",
     "check_3d",
@@ -19,6 +20,19 @@ __all__ = [
     "check_probability",
     "check_positive",
 ]
+
+
+def float_dtype(X) -> np.dtype:
+    """``X``'s own dtype when it is float16, float32 or float64; else float64.
+
+    Lets a caller validate floating telemetry without widening it: a
+    float32 series is checked and carried as float32, while ints, bools,
+    lists and wider floats are coerced to float64 as before.
+    """
+    dtype = getattr(X, "dtype", None)
+    if isinstance(dtype, np.dtype) and dtype.kind == "f" and dtype.itemsize <= 8:
+        return dtype
+    return np.dtype(np.float64)
 
 
 def check_array(
@@ -31,9 +45,10 @@ def check_array(
 ) -> np.ndarray:
     """Coerce ``X`` to an ndarray of ``dtype`` and check finiteness.
 
-    Returns a contiguous array; only copies when coercion requires it or
-    ``copy=True`` (views are preserved otherwise, per the "use views, not
-    copies" guidance).
+    Copies only when coercion requires it or ``copy=True``; otherwise the
+    result is ``X`` itself or a view of it, and keeps its strides (a
+    strided view stays strided, per the "use views, not copies"
+    guidance).
     """
     arr = np.array(X, dtype=dtype, copy=copy) if copy else np.asarray(X, dtype=dtype)
     if arr.size == 0:

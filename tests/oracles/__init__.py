@@ -1,6 +1,7 @@
 """Parity references: slow, readable implementations that production fast
 paths are tested against.
 
+* :mod:`tests.oracles.covariance` — the ``einsum`` covariance reduction;
 * :mod:`tests.oracles.drift` — the per-row drift detector;
 * :mod:`tests.oracles.nn` — the per-op nn layers (``Linear``, ``Conv1d``,
   ``MaxPool1d``, ``LSTM``, ``BiLSTM``) and :func:`~tests.oracles.nn.use_reference`,

@@ -16,6 +16,7 @@ from repro.ml.preprocessing import (
     covariance_feature_names,
     upper_triangle_covariance,
 )
+from tests.oracles import covariance as oracle
 
 
 class _Dummy(BaseEstimator):
@@ -112,6 +113,89 @@ class TestTimeSeriesScaler:
         sc = TimeSeriesStandardScaler().fit(X)
         np.testing.assert_allclose(sc.inverse_transform(sc.transform(X)), X,
                                    atol=1e-10)
+
+
+def _widened_standardize(X, mean, scale):
+    """The transform as it was: a float64 copy of X, then two temporaries."""
+    return (np.asarray(X, dtype=np.float64) - mean) / scale
+
+
+class TestStandardizeInTheInputDtype:
+    """Both scalers validate a floating input in its own dtype and write
+    one float64 output, byte-equal to standardizing a float64 copy."""
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float16, np.float32, np.float64, np.int32, np.bool_])
+    @pytest.mark.parametrize("layout", ["c", "strided", "fortran"])
+    def test_time_series_scaler_bytes(self, dtype, layout):
+        rng = np.random.default_rng(6)
+        sc = TimeSeriesStandardScaler().fit(rng.normal(40, 15, size=(5, 60, 7)))
+        X = rng.normal(40, 15, size=(4, 60, 7)).astype(dtype)
+        if layout == "strided":
+            X = X[:, ::3]
+        elif layout == "fortran":
+            X = np.asfortranarray(X)
+        Z = sc.transform(X)
+        assert Z.dtype == np.float64 and Z.flags.c_contiguous
+        assert Z.tobytes() == _widened_standardize(
+            X, sc.mean_, sc.scale_).tobytes()
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float16, np.float32, np.float64, np.int64])
+    @pytest.mark.parametrize("layout", ["c", "strided"])
+    def test_standard_scaler_bytes(self, dtype, layout):
+        rng = np.random.default_rng(7)
+        sc = StandardScaler().fit(rng.normal(3, 2, size=(40, 6)))
+        X = rng.normal(3, 2, size=(30, 6)).astype(dtype)
+        if layout == "strided":
+            X = X[::2]
+        Z = sc.transform(X)
+        assert Z.dtype == np.float64
+        assert Z.tobytes() == _widened_standardize(
+            X, sc.mean_, sc.scale_).tobytes()
+
+    def test_list_input_is_coerced_to_float64(self):
+        rng = np.random.default_rng(8)
+        sc = StandardScaler().fit(rng.normal(size=(10, 3)))
+        rows = [[1, 2, 3], [4, 5, 6]]
+        assert sc.transform(rows).tobytes() == _widened_standardize(
+            rows, sc.mean_, sc.scale_).tobytes()
+
+    @pytest.mark.parametrize("scaler, shape", [
+        (StandardScaler, (6, 7)), (TimeSeriesStandardScaler, (2, 3, 7))])
+    def test_float32_nan_still_rejected(self, scaler, shape):
+        sc = scaler().fit(np.random.default_rng(9).normal(size=shape))
+        X = np.ones(shape, dtype=np.float32)
+        X.flat[3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            sc.transform(X)
+
+    @pytest.mark.parametrize("model", ["svm_cov", "svm_pca", "scaled_pca_svc"])
+    def test_svm_and_pca_outputs_equal_on_float32_and_float64(self, model):
+        from repro.ml.svm import SVC
+        from repro.models import make_svm_cov, make_svm_pca
+
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(24, 30, 7)).astype(np.float32)
+        X[12:] += 0.5
+        y = np.repeat([0, 1], 12)
+        if model == "svm_cov":
+            pipe = make_svm_cov(C=1.0)
+        elif model == "svm_pca":
+            pipe = make_svm_pca(C=1.0, n_components=4)
+        else:
+            X = X.reshape(24, -1)
+            pipe = Pipeline([("scale", StandardScaler()),
+                             ("pca", PCA(n_components=4)),
+                             ("clf", SVC(C=1.0))])
+        pipe.fit(X.astype(np.float64), y)
+        outputs = []
+        for batch in (X, X.astype(np.float64)):
+            for _, est in pipe.steps[:-1]:
+                batch = est.transform(batch)
+            outputs.append((batch.tobytes(),
+                            pipe.steps[-1][1].decision_function(batch).tobytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestPCA:
@@ -214,6 +298,49 @@ class TestCovariance:
             M = M + M.T - np.diag(np.diag(M))
             eig = np.linalg.eigvalsh(M)
             assert eig.min() >= -1e-8 * max(1.0, abs(eig).max())
+
+
+# One batch of trials for the batch-independence sweep: its shape, a seed
+# for its values and their magnitude, and the columns held constant or
+# tied to another column (equal Gram entries must come out equal).
+_cov_batch = st.fixed_dictionaries({
+    "n": st.integers(1, 9),
+    "t": st.integers(2, 600),
+    "seed": st.integers(0, 2**32 - 1),
+    "scale": st.sampled_from([1e-3, 1.0, 1e3]),
+    "constant": st.lists(st.integers(0, 6), max_size=3),
+    "tied": st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                     max_size=3),
+})
+
+
+class TestCovarianceBatchIndependence:
+    """A trial's covariance features do not depend on its batch."""
+
+    @given(_cov_batch)
+    @settings(max_examples=40, deadline=None)
+    def test_each_trial_equals_its_own_gram(self, batch):
+        n, t = batch["n"], batch["t"]
+        rng = np.random.default_rng(batch["seed"])
+        X = rng.normal(size=(n, t, 7)) * batch["scale"]
+        for col in batch["constant"]:
+            X[:, :, col] = rng.normal() * batch["scale"]
+        for src, dst in batch["tied"]:
+            X[:, :, dst] = X[:, :, src]
+        iu = np.triu_indices(7)
+        F = upper_triangle_covariance(X)
+        for i in range(n):
+            x = X[i]
+            assert F[i].tobytes() == (x.T @ x / t)[iu].tobytes()
+            assert upper_triangle_covariance(X[i:i + 1])[0].tobytes() \
+                == F[i].tobytes()
+        if n >= 2:
+            assert F.tobytes() == oracle.upper_triangle_covariance(X).tobytes()
+
+    def test_float32_input_equals_its_float64_widening(self):
+        X = np.random.default_rng(11).normal(size=(3, 90, 7)).astype(np.float32)
+        assert upper_triangle_covariance(X).tobytes() == \
+            upper_triangle_covariance(X.astype(np.float64)).tobytes()
 
 
 class TestFlattenAndPipeline:

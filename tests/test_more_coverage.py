@@ -131,10 +131,11 @@ class TestTensorMisc:
     def test_len(self):
         assert len(Tensor(np.zeros((7, 2)))) == 7
 
-    def test_pow_rejects_tensor_exponent(self):
-        x = Tensor(np.ones(3))
-        with pytest.raises(TypeError):
-            _ = x ** Tensor(np.ones(3))
+    def test_tensor_defines_no_pow(self):
+        # `**` left the engine with the ops no paper model reaches; squares
+        # are written `x * x`.
+        assert not hasattr(Tensor, "__pow__")
+        assert not hasattr(Tensor, "__rpow__")
 
     def test_concatenate_axis0_gradients(self):
         a = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)

@@ -7,6 +7,7 @@ bits*, not merely close floats:
 * ``no_grad`` fused-kernel forwards (LSTM / BiLSTM / Conv1d / MaxPool1d),
 * the flattened joint tree traversal (forest + boosting, any ``n_jobs``),
 * the zero-copy serving ring + batch-assembly scratch,
+* the RF-cov preprocessing's memory: one float64 buffer per batch,
 * process-parallel dataset generation,
 * the numerically stable sigmoid.
 """
@@ -302,6 +303,35 @@ class TestZeroCopyServing:
         assert batcher._assemble(small).shape == (2, 4, 3)
         assert batcher._assemble(big).shape == (1, 6, 3)
         assert batcher._scratch.shape == (2, 6, 3)
+
+
+# ----------------------------------------------------------------------
+# RF-cov preprocessing memory
+# ----------------------------------------------------------------------
+def test_rf_cov_scale_and_cov_allocate_one_float64_batch():
+    # Scaling a float32 batch and taking its covariance features should
+    # cost about one float64 copy of the batch (the standardized output)
+    # plus small change: no widened copy of the input, no temporary per
+    # arithmetic step.  A count of bytes, not a timing.
+    import tracemalloc
+
+    from repro.models import make_rf_cov
+
+    rng = np.random.default_rng(12)
+    X = rng.normal(50.0, 20.0, size=(200, 540, 7)).astype(np.float32)
+    model = make_rf_cov(n_estimators=2).fit(X[:40], np.arange(40) % 4)
+    scale, cov = model.named_steps["scale"], model.named_steps["cov"]
+    tracemalloc.start()
+    try:
+        features = cov.transform(scale.transform(X))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert features.shape == (200, 28)
+    one_float64_copy = X.size * 8            # 5.8 MiB
+    assert peak <= 1.25 * one_float64_copy, (
+        f"peak {peak / 2**20:.1f} MiB for a "
+        f"{one_float64_copy / 2**20:.1f} MiB float64 batch")
 
 
 # ----------------------------------------------------------------------
