@@ -1,29 +1,24 @@
-"""Close the deployment loop: drift detection, shadow eval, canary rollout.
+"""Drift detection primitives: catch an injected sensor gain ramp.
 
 ``serve_fleet.py`` ends with a model serving a fleet; this walkthrough
-shows what keeps that model honest once the fleet underneath it changes.
-Part one exercises the monitoring primitives directly — inject a sensor
-gain ramp into a telemetry stream and watch a
-:class:`repro.monitor.SensorDriftDetector` catch it.  Part two runs the
-whole control loop via :func:`repro.monitor.run_monitor_bench`: train a
-champion and a challenger, replay a fleet with platform drift injected
-mid-stream, page on the fleet-wide drift alert, shadow-evaluate the
-challenger on live micro-batches, open a canary cohort, and flip the
-registry's active pointer on promotion — then repeat with a broken
-challenger and watch the same gates roll it back::
+shows the first thing that keeps that model honest once the fleet
+underneath it changes.  It injects a sensor gain ramp into a telemetry
+stream with :func:`repro.monitor.inject_series` and watches a
+:class:`repro.monitor.SensorDriftDetector` catch it, while the clean
+stream stays silent.
+
+The whole control loop on top of these primitives (a drifting fleet,
+a shadowed challenger, a canary cohort, alerts and the registry flip on
+promotion or rollback) is wired in ``_rollout`` in
+``tests/test_monitor.py``; ``TestRolloutOnASimulatedRelease`` runs it
+with RF-cov models on a simulated release::
 
     python examples/monitor_rollout.py
 """
 
 import numpy as np
 
-from repro.monitor import (
-    DriftInjection,
-    MonitorBenchConfig,
-    SensorDriftDetector,
-    inject_series,
-    run_monitor_bench,
-)
+from repro.monitor import DriftInjection, SensorDriftDetector, inject_series
 
 
 def drift_primitives_demo() -> None:
@@ -51,22 +46,9 @@ def drift_primitives_demo() -> None:
 
 
 def main() -> None:
-    """Run the primitive demo, then both end-to-end rollout scenarios."""
+    """Run the drift-detection demo."""
     print("== drift detection primitives ==")
     drift_primitives_demo()
-
-    # Small fleet so the whole loop runs in seconds; `python -m repro
-    # monitor-bench` exposes every one of these knobs as a flag.
-    base = dict(scale=0.01, n_jobs=10, trees=10, seed=2022)
-
-    print("\n== good challenger under injected platform drift ==")
-    report = run_monitor_bench(MonitorBenchConfig(**base))
-    print(report.format())
-
-    print("\n== label-permuted challenger: gates must hold ==")
-    report = run_monitor_bench(
-        MonitorBenchConfig(challenger="bad", **base))
-    print(report.format())
 
 
 if __name__ == "__main__":

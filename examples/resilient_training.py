@@ -7,8 +7,8 @@ shows the old file surviving untouched, then bit-flips an archive and
 watches the CRC32 check reject it.  Part two interrupts an LSTM training
 run mid-epoch, resumes it from its crash-safe checkpoint, and verifies the
 stitched history is *bit-identical* to an uninterrupted twin — the
-invariant ``python -m repro resilience-bench`` asserts under real
-SIGKILLs::
+invariant ``tests/test_resilience_crash.py`` asserts under real SIGKILLs
+at preemptions drawn from the simulated cluster's failure process::
 
     python examples/resilient_training.py
 """
@@ -38,7 +38,7 @@ def crash_safe_persistence_demo(workdir: Path) -> None:
     # A writer dying halfway through the payload must not touch the old
     # file: the write goes to a temp file and only an atomic os.replace
     # publishes it.  mode="raise" simulates the death in-process; the
-    # bench uses mode="kill" (a real SIGKILL) in a subprocess.
+    # crash tests use mode="kill" (a real SIGKILL) in a subprocess.
     try:
         with inject(FaultSpec("persist.mid_write", mode="raise")):
             save_model(StandardScaler(), path)
@@ -116,7 +116,8 @@ def main() -> None:
         print()
         checkpoint_resume_demo(workdir)
     print("\nFor the SIGKILL version of this story (real process death, "
-          "registry writers included):\n    python -m repro resilience-bench")
+          "registry writers included):\n"
+          "    python -m pytest tests/test_resilience_crash.py")
 
 
 if __name__ == "__main__":

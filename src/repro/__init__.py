@@ -34,8 +34,7 @@ Subpackages
     Sharded serving control plane: consistent-hash routing, worker
     failover by history replay, metrics-driven autoscaling.
 ``repro.resilience``
-    Crash-safety toolkit: fault injection, retry with backoff, and the
-    ``repro resilience-bench`` kill/resume harness.
+    Crash-safety toolkit: fault injection and retry with backoff.
 ``repro.store``
     Crash-safe sharded telemetry store: WAL + mmap segment files,
     zero-copy reads, deterministic replay, compaction.

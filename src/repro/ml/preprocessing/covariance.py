@@ -38,7 +38,11 @@ def upper_triangle_covariance(X: np.ndarray, *, normalize: bool = True) -> np.nd
     -------
     ``(n_trials, s(s+1)/2)`` matrix; for 7 sensors, 28 columns.
     """
-    X = check_3d(X)
+    return _gram_upper_triangle(check_3d(X), normalize)
+
+
+def _gram_upper_triangle(X: np.ndarray, normalize: bool) -> np.ndarray:
+    """:func:`upper_triangle_covariance` of an already validated tensor."""
     n, t, s = X.shape
     # One batched matmul: (n, s, t) @ (n, t, s) -> (n, s, s).  It takes
     # each trial's Gram in its own BLAS call, so a trial's features are
@@ -105,4 +109,4 @@ class CovarianceFeatures(BaseEstimator, TransformerMixin):
             raise ValueError(
                 f"X has {X.shape[2]} sensors; fitted on {self.n_sensors_in_}"
             )
-        return upper_triangle_covariance(X, normalize=self.normalize)
+        return _gram_upper_triangle(X, self.normalize)

@@ -25,15 +25,11 @@ remediation — so that layer is first-class here, not a notebook.
   firing/resolved lifecycle.
 * :class:`DriftInjection` — deterministic sensor gain/offset ramps and
   class-mix shifts for the load generator, so the whole pipeline is
-  rehearsable end to end (``repro monitor-bench``).
+  rehearsable end to end (``tests/test_monitor.py::_rollout`` wires it:
+  a drifting fleet, shadow, canary and alerts on every tick).
 """
 
 from repro.monitor.alerts import AlertEvent, AlertManager, AlertRule
-from repro.monitor.bench import (
-    MonitorBenchConfig,
-    MonitorBenchReport,
-    run_monitor_bench,
-)
 from repro.monitor.drift import (
     DriftConfig,
     DriftEvent,
@@ -57,9 +53,6 @@ __all__ = [
     "AlertEvent",
     "AlertManager",
     "AlertRule",
-    "MonitorBenchConfig",
-    "MonitorBenchReport",
-    "run_monitor_bench",
     "DriftConfig",
     "DriftEvent",
     "FleetDriftMonitor",

@@ -17,7 +17,9 @@ training-loop state at an epoch boundary:
 
 Restoring all of it makes ``fit`` → kill → ``resume`` produce a history
 **bit-identical** to an uninterrupted run (wall-clock ``seconds`` aside) —
-the invariant ``repro resilience-bench`` asserts.
+the invariant ``tests/test_resilience_crash.py`` asserts, under real
+SIGKILLs at preemptions drawn from
+:class:`~repro.simcluster.preemption.PreemptionProcess`.
 
 File format (``repro-checkpoint-v1``): a pickled header dict carrying a
 CRC32 over the pickled checkpoint payload, written atomically via

@@ -1,4 +1,4 @@
-"""Crash-safety toolkit: fault injection, retries, and the resilience bench.
+"""Crash-safety toolkit: fault injection and retries.
 
 At fleet scale the dominant operational cost is not steady-state compute
 but preemptions, node failures and the corrupt state they leave behind
@@ -11,16 +11,13 @@ survives them:
   write path and the training loop.
 * :mod:`repro.resilience.retry` — bounded exponential backoff for
   transient load failures.
-* :mod:`repro.resilience.bench` — the ``repro resilience-bench`` runner:
-  kills training at a simcluster-sampled preemption, resumes from the
-  checkpoint, and asserts bit-identical history; kills registry writers
-  mid-save and asserts the previous version still serves.
 
 The crash-safe primitives themselves live where their callers are:
 atomic replace + CRC32 checksums in :mod:`repro.utils.persist`,
-checkpoint/resume in :mod:`repro.nn.training.checkpoint`.
-(:mod:`repro.resilience.bench` is imported lazily by the CLI — importing
-this package does not pull in the nn/data stack.)
+checkpoint/resume in :mod:`repro.nn.training.checkpoint`.  The tier-1
+crash tests (``tests/test_resilience_crash.py``, ``test_store_crash.py``,
+``test_fleet_crash.py``) SIGKILL spawned training runs, registry writers,
+store writers and fleet workers and check what survives.
 """
 
 from repro.resilience.faults import (

@@ -18,7 +18,7 @@ concurrent job streams, one model call per tick.
   with p50/p95/p99 summaries.
 * :class:`FleetLoadGenerator` — deterministic replay of simulated
   telemetry fleets, driving the whole stack end to end
-  (``repro serve-bench``).
+  (``examples/serve_fleet.py``).
 """
 
 from repro.serve.batcher import BatchCompletion, MicroBatcher

@@ -4,7 +4,7 @@ Fleet-scale monitoring lives or dies on cheap, always-on metrics (the
 lesson of large-cluster reliability studies): every admission decision,
 batch flush, and prediction emission in :mod:`repro.serve` increments a
 metric here.  The registry renders both a machine-readable dict and the
-operator-facing text report printed by ``repro serve-bench``.
+operator-facing text report that ``examples/serve_fleet.py`` prints.
 
 Everything is plain Python — no background threads, no sampling clocks —
 so recorded values are exactly reproducible for a deterministic workload.

@@ -8,8 +8,8 @@ hit a running job, with the same determinism contract as the rest of
 :mod:`repro.simcluster`: one seed, one stream name, bit-stable events
 regardless of what else draws randomness.
 
-Used by ``repro resilience-bench`` to decide where to SIGKILL a training
-run, and available to the scheduler simulation for failure-aware traces.
+Used by the crash tests to decide where to SIGKILL a training run, and
+available to the scheduler simulation for failure-aware traces.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class PreemptionProcess:
     between failures); a fraction ``node_failure_fraction`` of events are
     hard node failures.  Events are a pure function of ``(seed, job)`` —
     the standard :class:`~repro.utils.rng.SeedSequenceFactory` contract —
-    so a bench can replay the exact preemption schedule that killed a run.
+    so a test can replay the exact preemption schedule that killed a run.
     """
 
     def __init__(

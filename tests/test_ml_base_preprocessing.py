@@ -282,8 +282,48 @@ class TestCovariance:
 
     def test_sensor_count_check(self):
         cov = CovarianceFeatures().fit(np.ones((2, 10, 7)))
-        with pytest.raises(ValueError, match="sensors"):
+        with pytest.raises(ValueError, match="X has 5 sensors; fitted on 7"):
             cov.transform(np.ones((2, 10, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_transform_rejects_non_finite(self, bad):
+        cov = CovarianceFeatures().fit(np.ones((2, 10, 7)))
+        X = np.ones((2, 10, 7), dtype=np.float32)
+        X[1, 4, 6] = bad
+        with pytest.raises(ValueError, match="X contains NaN or infinite"):
+            cov.transform(X)
+
+    @pytest.mark.parametrize("shape", [(10, 7), (7,), (1, 2, 10, 7)])
+    def test_transform_rejects_non_3d(self, shape):
+        cov = CovarianceFeatures().fit(np.ones((2, 10, 7)))
+        with pytest.raises(ValueError, match="X must be 3-D"):
+            cov.transform(np.ones(shape))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_transform_equals_the_function_bytes(self, dtype):
+        X = np.random.default_rng(4).normal(0, 30, size=(5, 90, 7))
+        X = X.astype(dtype)
+        for normalize in (True, False):
+            cov = CovarianceFeatures(normalize=normalize).fit(X)
+            assert cov.transform(X).tobytes() == upper_triangle_covariance(
+                X, normalize=normalize).tobytes()
+
+    def test_transform_validates_once(self, monkeypatch):
+        # One finiteness pass per served batch: the transform's own check,
+        # not a second one inside the covariance function.
+        import repro.utils.validation as validation
+
+        calls = []
+        check_array = validation.check_array
+
+        def counting(X, **kwargs):
+            calls.append(kwargs.get("name"))
+            return check_array(X, **kwargs)
+
+        cov = CovarianceFeatures().fit(np.ones((2, 10, 7)))
+        monkeypatch.setattr(validation, "check_array", counting)
+        cov.transform(np.ones((3, 10, 7), dtype=np.float32))
+        assert calls == ["X"]
 
     @settings(max_examples=20, deadline=None)
     @given(arrays(np.float64, (2, 12, 3),

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.data import build_challenge_suite
+from repro.data.labelled import build_labelled_dataset
+from repro.models import make_rf_cov
 from repro.monitor import (
     AlertManager,
     AlertRule,
@@ -10,7 +13,6 @@ from repro.monitor import (
     DriftConfig,
     DriftInjection,
     FleetDriftMonitor,
-    MonitorBenchConfig,
     PageHinkley,
     RolloutConfig,
     SensorDriftDetector,
@@ -18,7 +20,15 @@ from repro.monitor import (
     inject_series,
 )
 from repro.monitor.rollout import CANARY, PROMOTED, ROLLED_BACK, SHADOW
-from repro.serve import MetricsRegistry, ModelRegistry
+from repro.serve import (
+    FleetLoadGenerator,
+    InferenceServer,
+    MetricsRegistry,
+    ModelRegistry,
+    ServeConfig,
+)
+from repro.simcluster.architectures import N_CLASSES
+from repro.simcluster.cluster import SimulationConfig
 
 
 def _stationary(n, seed=0, loc=(50.0, 30.0, 20000.0, 12000.0, 50.0, 55.0, 150.0)):
@@ -500,48 +510,182 @@ class TestAlerts:
                          metrics=MetricsRegistry())
 
 
+def _rollout(registry_dir, champion, challenger, series, labels, *, window,
+             n_jobs, max_samples, injection, drift, rollout, seed=2022):
+    """Roll ``challenger`` out against ``champion`` on a drifting fleet.
+
+    The champion is registered as v1 and made active, the challenger as
+    v2.  The fleet replays ``series`` with ``injection`` ramped in
+    mid-stream.  A :class:`FleetDriftMonitor` taps both servers' ingress
+    (a canary-routed job keeps its detector) and a
+    :class:`ShadowEvaluator` taps the champion's batches.  After every
+    tick a :class:`CanaryController` re-checks its gates, with the
+    challenger/champion predict-time ratio as the latency guardrail, and
+    an :class:`AlertManager` evaluates its rules.  Returns the controller,
+    registry, shadow evaluator, drift monitor and alert manager.
+    """
+    registry = ModelRegistry(registry_dir)
+    registry.register("workload", champion)
+    registry.register("workload", challenger)
+    registry.set_active("workload", 1)
+    gen = FleetLoadGenerator(series, labels, n_jobs=n_jobs,
+                             samples_per_tick=90,
+                             max_samples_per_job=max_samples, seed=seed,
+                             drift=injection)
+    config = ServeConfig(window=window, max_batch=64, flush_deadline_s=30.0)
+    metrics = MetricsRegistry()
+    monitor = FleetDriftMonitor(config=drift, metrics=metrics)
+    shadow = ShadowEvaluator(registry.get("workload", 2), metrics=metrics)
+    champion_server = InferenceServer(
+        registry.get_active("workload"), config, clock=gen.clock,
+        metrics=metrics, taps=[monitor, shadow])
+    challenger_server = InferenceServer(
+        registry.get("workload", 2), config, clock=gen.clock, taps=[monitor])
+    controller = CanaryController(
+        rollout, registry=registry, name="workload", champion_version=1,
+        challenger_version=2, metrics=metrics)
+    alerts = AlertManager(
+        rules=[
+            AlertRule("fleet-drift", "monitor.drift.drifting_fraction", ">=",
+                      0.75, for_ticks=2),
+            AlertRule("shadow-agreement-low", "monitor.shadow.agreement",
+                      "<", rollout.rollback_agreement, for_ticks=2),
+            AlertRule("ingress-shed", "ingress.shed", ">", 0),
+        ],
+        metrics=metrics)
+
+    def route(job):
+        if controller.route(job) == "challenger":
+            return challenger_server
+        return None
+
+    def on_tick(tick, emissions):
+        champ = metrics.histogram("batch.predict_wall_s")
+        chall = metrics.histogram("monitor.shadow.predict_wall_s")
+        controller.update(
+            shadow_windows=shadow.n_windows,
+            shadow_agreement=shadow.agreement,
+            canary_windows=int(challenger_server.metrics.counter(
+                "predictions.emitted").value),
+            latency_ratio=(chall.mean / champ.mean if champ.count
+                           and chall.count and champ.mean > 0
+                           else float("nan")),
+            now_s=gen.clock())
+        alerts.evaluate(now_s=gen.clock())
+
+    gen.run(champion_server, route=route, on_tick=on_tick)
+    return controller, registry, shadow, monitor, alerts
+
+
 class TestMonitorBenchEndToEnd:
-    """Injected-model runs of the full pipeline (no simulator training)."""
+    """The rollout loop on stub models: sign-of-sensor-0 labellers."""
 
-    def _run(self, flip):
-        from repro.monitor.bench import run_monitor_bench
-
+    def _run(self, tmp_path, flip):
         streams = [_stationary(1400, seed=s) for s in range(8)]
-        config = MonitorBenchConfig(
-            n_jobs=8, samples_per_tick=90, max_samples_per_job=1400,
-            drift_start=700, drift_ramp=90, drift_gain=1.7,
-            drift_sensors=(0, 6), detector_warmup=0,
-            canary_fraction=0.5, min_shadow_windows=20,
-            min_canary_windows=6, min_agreement=0.8,
-            rollback_agreement=0.55,
-        )
-        return run_monitor_bench(
-            config, champion=_SignModel(), challenger=_SignModel(flip=flip),
-            window=270, series=streams, labels=[1] * len(streams))
+        return _rollout(
+            tmp_path, _SignModel(), _SignModel(flip=flip), streams,
+            [1] * len(streams), window=270, n_jobs=8, max_samples=1400,
+            injection=DriftInjection(start_sample=700, ramp_samples=90,
+                                     gain=1.7, sensors=(0, 6)),
+            drift=DriftConfig(warmup=0, ph_delta=0.25, ph_threshold=75.0),
+            rollout=RolloutConfig(
+                canary_fraction=0.5, min_shadow_windows=20,
+                min_canary_windows=6, min_agreement=0.8,
+                rollback_agreement=0.55, max_latency_ratio=10.0,
+                salt="2022"))
 
-    def test_good_challenger_promoted(self):
-        report = self._run(flip=False)
-        assert report.state == PROMOTED
-        assert report.active_version == report.challenger_version
-        assert report.shadow["agreement"] == 1.0
-        assert report.drifted_sessions >= 6
-        assert report.detection_latency_samples["median"] <= 540
-        assert "promoted" in report.format()
+    def test_good_challenger_promoted(self, tmp_path):
+        controller, registry, shadow, monitor, _ = self._run(tmp_path, False)
+        assert controller.state == PROMOTED
+        assert registry.active_version("workload") == 2
+        assert shadow.report()["agreement"] == 1.0
+        assert len(monitor.first_detections()) >= 6
+        latencies = sorted(monitor.detection_latencies(700).values())
+        assert latencies[len(latencies) // 2] <= 540
 
-    def test_bad_challenger_rolled_back(self):
-        report = self._run(flip=True)
-        assert report.state == ROLLED_BACK
-        assert report.active_version == report.champion_version
-        assert any(a.rule == "shadow-agreement-low" for a in report.alerts)
+    def test_bad_challenger_rolled_back(self, tmp_path):
+        controller, registry, _, _, alerts = self._run(tmp_path, True)
+        assert controller.state == ROLLED_BACK
+        assert registry.active_version("workload") == 1
+        assert any(a.rule == "shadow-agreement-low" for a in alerts.timeline)
 
-    def test_series_required_with_injected_models(self):
-        from repro.monitor.bench import run_monitor_bench
 
-        with pytest.raises(ValueError, match="series"):
-            run_monitor_bench(MonitorBenchConfig(),
-                              champion=_SignModel(),
-                              challenger=_SignModel())
+class _PermutedLabelModel:
+    """A broken challenger: the champion's labels through a permutation."""
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="challenger"):
-            MonitorBenchConfig(challenger="mediocre")
+    def __init__(self, base, n_classes, seed):
+        self.base = base
+        self.perm = np.random.default_rng(seed).permutation(n_classes)
+
+    def predict(self, X):
+        return self.perm[np.asarray(self.base.predict(X)).astype(np.int64)]
+
+
+@pytest.fixture(scope="module")
+def release_models():
+    """A simulated release, its RF-cov champion and a +10%-trees challenger.
+
+    ``trials_scale=0.01`` and 10 trees on 60-random-1, small enough for
+    tier-1; fitted once for the module.
+    """
+    labelled = build_labelled_dataset(
+        SimulationConfig(seed=2022, trials_scale=0.01))
+    ds = build_challenge_suite(labelled, seed=2022,
+                               names=("60-random-1",))["60-random-1"]
+    champion = make_rf_cov(n_estimators=10, random_state=0)
+    champion.fit(ds.X_train, ds.y_train)
+    challenger = make_rf_cov(n_estimators=11, random_state=0)
+    challenger.fit(ds.X_train, ds.y_train)
+    trials = labelled.eligible(ds.n_samples).trials
+    return (champion, challenger, [t.series for t in trials],
+            [t.label for t in trials], ds.n_samples)
+
+
+class TestRolloutOnASimulatedRelease:
+    """RF-cov models on a simulated fleet whose sensors 0 and 6 drift by
+    a 1.6x gain two minutes into every stream."""
+
+    def _run(self, tmp_path, release_models, challenger):
+        champion, _, series, labels, window = release_models
+        return _rollout(
+            tmp_path, champion, challenger, series, labels, window=window,
+            n_jobs=10, max_samples=2700,
+            injection=DriftInjection(start_sample=1080, ramp_samples=270,
+                                     gain=1.6, sensors=(0, 6)),
+            drift=DriftConfig(warmup=540, ph_delta=0.25, ph_threshold=75.0),
+            rollout=RolloutConfig(
+                canary_fraction=0.4, min_shadow_windows=60,
+                min_canary_windows=24, min_agreement=0.8,
+                rollback_agreement=0.55, max_latency_ratio=10.0,
+                salt="2022"))
+
+    def test_more_trees_challenger_promoted(self, tmp_path, release_models):
+        controller, registry, _, monitor, _ = self._run(
+            tmp_path, release_models, release_models[1])
+        assert [d.to_state for d in controller.decisions] == [
+            CANARY, PROMOTED]
+        assert registry.active_version("workload") == 2
+        assert monitor.n_events > 0
+
+    def test_label_permuted_challenger_rolled_back(self, tmp_path,
+                                                   release_models):
+        bad = _PermutedLabelModel(release_models[0], N_CLASSES, seed=2023)
+        controller, registry, _, _, _ = self._run(
+            tmp_path, release_models, bad)
+        assert [d.to_state for d in controller.decisions] == [ROLLED_BACK]
+        assert registry.active_version("workload") == 1
+
+    def test_same_seed_same_rollout(self, tmp_path, release_models):
+        def timelines(workdir):
+            controller, _, _, monitor, alerts = self._run(
+                workdir, release_models, release_models[1])
+            # The promotion reason ends with the measured latency ratio,
+            # which reads wall time; every other field is simulated.
+            decisions = [(d.at_s, d.from_state, d.to_state,
+                          d.reason.split(", latency guardrail")[0])
+                         for d in controller.decisions]
+            return decisions, list(alerts.timeline), monitor.n_events
+
+        first = timelines(tmp_path / "first")
+        assert first[0] and first[1]
+        assert timelines(tmp_path / "second") == first

@@ -1,6 +1,7 @@
 """Crash-safety tests: checkpoint/resume bit-identity (in-process injected
-faults and real SIGKILLed subprocesses) and registry survival of killed
-writers, including warm-LRU coherence."""
+faults and real SIGKILLed subprocesses, one kill or one per drawn
+preemption) and registry survival of killed writers and a garbled
+``ACTIVE`` pointer, including warm-LRU coherence."""
 
 import pickle
 import signal
@@ -19,14 +20,15 @@ from repro.nn.training import (
     save_checkpoint,
 )
 from repro.resilience import FaultSpec, InjectedFault, inject
-from repro.resilience.bench import (
+from repro.serve.registry import ModelRegistry
+from repro.simcluster.preemption import PreemptionProcess
+from tests.crash import (
     _StubModel,
     _build_trainer,
     _crash_registry_worker,
     _crash_training_worker,
     _run_to_sigkill,
 )
-from repro.serve.registry import ModelRegistry
 
 # Tiny synthetic problem: 24 samples, 6 timesteps, 3 sensors, 3 classes,
 # batch 8 -> 3 batches/epoch.  Small enough for subprocess SIGKILL tests
@@ -36,7 +38,7 @@ _BATCHES_PER_EPOCH = 3
 
 
 def _tiny_payload(max_epochs=5, **overrides):
-    """Trainer payload + data for repro.resilience.bench._build_trainer."""
+    """Trainer payload + data for tests.crash._build_trainer."""
     rng = np.random.default_rng(0)
     payload = {
         "n_sensors": _D,
@@ -222,6 +224,42 @@ class TestSigkillSubprocess:
         history = survivor.resume(str(ckpt), *_data(payload))
         assert history_free.matches(history)
 
+    def test_sigkilled_at_each_drawn_preemption_then_resumed_matches(
+            self, tmp_path):
+        # The simulated cluster's failure process (one preemption per two
+        # epochs on average) draws kill epochs [1, 3, 4]: a real SIGKILL
+        # before any checkpoint lands, then one in a fresh fit past its
+        # second checkpoint, then one in a resume.  Each incarnation
+        # starts from what the last one left.
+        payload = _tiny_payload()
+        fault_free = _build_trainer(payload)
+        history_free = fault_free.fit(*_data(payload))
+        kill_epochs = PreemptionProcess(
+            2.0, seed=payload["seed"], job="tiny-lstm"
+        ).kill_epochs(payload["max_epochs"], epoch_s=1.0)
+        assert len(kill_epochs) >= 2
+
+        ckpt = tmp_path / "t.ckpt"
+
+        def saved_epoch():
+            return load_checkpoint(ckpt).epoch if ckpt.is_file() else 0
+
+        for kill_epoch in kill_epochs:
+            child = dict(payload)
+            child.update({"checkpoint_path": str(ckpt),
+                          "resume": ckpt.is_file(),
+                          "kill_hit": _hit(kill_epoch, saved_epoch())})
+            assert _run_to_sigkill(_crash_training_worker, child,
+                                   timeout_s=120.0)
+            assert saved_epoch() == kill_epoch - 1
+
+        survivor = _build_trainer(payload)
+        history = survivor.resume(str(ckpt), *_data(payload))
+        assert history_free.matches(history)
+        assert (survivor.evaluate_accuracy(payload["X_val"], payload["y_val"])
+                == fault_free.evaluate_accuracy(payload["X_val"],
+                                                payload["y_val"]))
+
     def test_save_model_sigkilled_mid_write_serves_prior_version(self, tmp_path):
         root = tmp_path / "registry"
         registry = ModelRegistry(root)
@@ -283,6 +321,25 @@ class TestSigkillSubprocess:
         assert registry.get_active("clf").version == 2
         # v1 stays warm under its own key, coherent for pinned readers.
         assert registry.get("clf", 1).version == 1
+
+
+class TestRegistryRecovery:
+    def test_garbled_active_pointer_warns_and_serves_latest(self, tmp_path):
+        # A pointer no release can parse (torn by a pre-atomic writer, or
+        # a bad rsync) must not un-promote silently: a restarted server
+        # warns, resolves the latest version and serves it.
+        root = tmp_path / "registry"
+        registry = ModelRegistry(root)
+        registry.register("clf", _StubModel(1), version=1)
+        registry.register("clf", _StubModel(2), version=2)
+        registry.set_active("clf", 1)
+        (root / "clf" / "ACTIVE").write_text("###garbage###\n")
+
+        fresh = ModelRegistry(root)
+        with pytest.warns(UserWarning, match="garbled"):
+            assert fresh.active_version("clf") == 2
+        with pytest.warns(UserWarning, match="garbled"):
+            assert fresh.get_active("clf").version == 2
 
 
 class TestStateDictRoundTrips:

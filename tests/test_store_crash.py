@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.resilience import FaultInjector, FaultSpec, InjectedFault, inject, install
-from repro.resilience.bench import _run_to_sigkill
 from repro.store import TelemetryStore
+from tests.crash import _run_to_sigkill
 
 
 def _series(n, seed=0):
